@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -86,14 +87,21 @@ def _write_output(path: str | None, text: str) -> None:
         raise CliError(EXIT_IO, "io", f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+@contextmanager
+def _validation(prefix: str = ""):
+    """Report a ValueError raised inside the block as a validation error (exit 1)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(EXIT_VALIDATION, "validation", f"{prefix}{exc}") from exc
+
+
 def _load_vocab(path: str | None) -> Vocabulary | None:
     if path is None:
         return None
     raw = _read_bytes(path)
-    try:
+    with _validation("invalid vocabulary file: "):
         return load_vocabulary(raw)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise CliError(EXIT_VALIDATION, "validation", f"invalid vocabulary file: {exc}") from exc
 
 
 def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
@@ -121,30 +129,17 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
 
 
 def _diagnosis_config(args: argparse.Namespace) -> DiagnosisConfig:
-    threshold = getattr(args, "clip_threshold", DEFAULT_CLIP_THRESHOLD)
-    if not 0.0 <= threshold <= 1.0:
-        raise CliError(
-            EXIT_VALIDATION, "validation", f"clip threshold out of range: {threshold} (expected 0 to 1)"
+    with _validation():
+        return DiagnosisConfig(
+            min_support=args.min_support,
+            k_max=args.k_max,
+            relax_fraction=args.relax,
+            rebalance=RebalanceConfig(
+                template=PromptTemplate(args.template),
+                clip_threshold=args.clip_threshold,
+                per_query_cap=args.cap,
+            ),
         )
-    cap = getattr(args, "cap", None)
-    if cap is not None and cap < 1:
-        raise CliError(EXIT_VALIDATION, "validation", f"--cap must be >= 1, got {cap}")
-    if args.k_max < 1:
-        raise CliError(EXIT_VALIDATION, "validation", f"--k-max must be >= 1, got {args.k_max}")
-    if args.min_support < 1:
-        raise CliError(
-            EXIT_VALIDATION, "validation", f"--min-support must be >= 1, got {args.min_support}"
-        )
-    relax = getattr(args, "relax", None)
-    if relax is not None and not 0.0 < relax <= 1.0:
-        raise CliError(EXIT_VALIDATION, "validation", f"--relax must be in (0, 1], got {relax}")
-    template = PromptTemplate(getattr(args, "template", "photo"))
-    return DiagnosisConfig(
-        min_support=args.min_support,
-        k_max=args.k_max,
-        relax_fraction=relax,
-        rebalance=RebalanceConfig(template=template, clip_threshold=threshold, per_query_cap=cap),
-    )
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
@@ -174,11 +169,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_export_graph(args: argparse.Namespace) -> int:
     dataset, _ = _load_dataset(args)
-    if args.min_support < 1:
-        raise CliError(
-            EXIT_VALIDATION, "validation", f"--min-support must be >= 1, got {args.min_support}"
-        )
-    graph = build_graph(dataset, min_support=args.min_support)
+    with _validation():
+        graph = build_graph(dataset, min_support=args.min_support)
     if args.graph_format == "dot":
         _write_output(args.out, to_dot(graph))
     else:
@@ -229,15 +221,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise fail("seed", "expected an integer")
 
-    try:
+    with _validation("spec: "):
         spec = BiasSpec(
             groups=groups,
             rho=float(rho),
             per_class_n=per_class_n,
             concepts_per_record=(cpr[0], cpr[1]),
         )
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, "validation", f"spec: {exc}") from exc
 
     dataset = generate(spec, seed)
     _write_output(args.out, serialize_jsonl(dataset))
@@ -248,27 +238,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     dataset, _ = _load_dataset(args)
-    graph = build_graph(dataset, min_support=1)
-    class_hist = {y: 0 for y in dataset.classes}
-    concept_hist = {c: 0 for c in dataset.concepts}
-    for r in dataset.records:
-        class_hist[r.label] += 1
-        for c in r.concepts:
-            concept_hist[c] += 1
-
+    masks = dataset.masks
     print(f"records: {dataset.n}")
     print(f"classes: {len(dataset.classes)}")
     print(f"concepts: {len(dataset.concepts)}")
     print()
     print("class histogram:")
     for y in dataset.classes:
-        print(f"  {y}: {class_hist[y]}")
+        print(f"  {y}: {masks[y].bit_count()}")
     print()
     print("concept histogram:")
     for c in dataset.concepts:
-        print(f"  {c}: {concept_hist[c]}")
+        print(f"  {c}: {masks[c].bit_count()}")
     pairs = [
-        (label, concept, graph.weight(graph.class_node(label), graph.concept_node(concept)))
+        (label, concept, (masks[label] & masks[concept]).bit_count())
         for label in dataset.classes
         for concept in dataset.concepts
     ]

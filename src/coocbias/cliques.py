@@ -180,10 +180,10 @@ def cooccurrence_count(dataset: Dataset, label: str, clique: Clique) -> int:
     unknown = set(clique) - set(dataset.concepts)
     if unknown:
         raise ValueError(f"unknown concepts: {sorted(unknown)!r}")
-    wanted = set(clique)
-    return sum(
-        1 for r in dataset.records if r.label == label and wanted.issubset(r.concepts)
-    )
+    mask = dataset.masks[label]
+    for c in clique:
+        mask &= dataset.masks[c]
+    return mask.bit_count()
 
 
 def frequency_table(
@@ -191,27 +191,20 @@ def frequency_table(
 ) -> CliqueFrequencyTable:
     """Count records per (clique, class) for every common clique.
 
-    Uses one bitmask per concept and per class over record positions, so a
-    clique's count is an AND of its concept masks with the class mask followed
-    by a popcount; cliques sharing prefixes do not share work, but the masks
-    keep the per-clique cost linear in n/64 words, fast enough in practice.
+    A clique's count for a class is the popcount of its concepts' record
+    bitsets (``dataset.masks``) ANDed with the class's bitset. Each clique
+    costs k ANDs plus one popcount per class over n-bit sets; cliques
+    sharing a prefix redo the prefix's ANDs.
     """
-    concept_mask: dict[str, int] = {c: 0 for c in dataset.concepts}
-    class_mask: dict[str, int] = {y: 0 for y in dataset.classes}
-    for pos, rec in enumerate(dataset.records):
-        bit = 1 << pos
-        class_mask[rec.label] |= bit
-        for c in rec.concepts:
-            concept_mask[c] |= bit
-
+    masks = dataset.masks
     counts: dict[int, dict[Clique, dict[str, int]]] = {}
     for k, cliques in common.items():
         level: dict[Clique, dict[str, int]] = {}
         for q in cliques:
             mask = ~0
             for c in q:
-                mask &= concept_mask[c]
-            level[q] = {y: (mask & class_mask[y]).bit_count() for y in dataset.classes}
+                mask &= masks[c]
+            level[q] = {y: (mask & masks[y]).bit_count() for y in dataset.classes}
         counts[k] = level
     return CliqueFrequencyTable(classes=dataset.classes, counts=counts)
 

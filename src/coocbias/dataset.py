@@ -21,6 +21,7 @@ import io
 import json
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Union
 
@@ -78,6 +79,23 @@ class Dataset:
     def n(self) -> int:
         return len(self.records)
 
+    @cached_property
+    def masks(self) -> dict[str, int]:
+        """Record bitset per class and concept name, built on first access.
+
+        Bit i is set when record i has that label or concept, so a popcount
+        of ANDed masks counts records; an unused name maps to 0. A copy made
+        with ``dataclasses.replace`` builds its own.
+        """
+        size = (len(self.records) + 7) // 8
+        bits = {name: bytearray(size) for name in self.classes + self.concepts}
+        for pos, rec in enumerate(self.records):
+            byte, bit = pos >> 3, 1 << (pos & 7)
+            bits[rec.label][byte] |= bit
+            for c in rec.concepts:
+                bits[c][byte] |= bit
+        return {name: int.from_bytes(buf, "little") for name, buf in bits.items()}
+
     @classmethod
     def from_records(
         cls,
@@ -134,7 +152,10 @@ class Vocabulary:
 def load_vocabulary(data: Source | dict) -> Vocabulary:
     """Load a vocabulary from a JSON object ``{"classes": [...], "concepts": [...]}``."""
     if not isinstance(data, dict):
-        data = json.loads(_source_text(data))
+        try:
+            data = json.loads(_source_text(data))
+        except RecursionError as exc:
+            raise ValueError(f"vocabulary: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("vocabulary: expected a JSON object")
     for key in ("classes", "concepts"):
@@ -339,8 +360,8 @@ def parse_jsonl(
             continue
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            report.error("", "malformed-line", f"line {line_no}: invalid JSON: {exc.msg}")
+        except (ValueError, RecursionError) as exc:
+            report.error("", "malformed-line", f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}")
             report.records_rejected += 1
             continue
         if not isinstance(obj, dict):
@@ -391,7 +412,15 @@ def parse_csv(
     reader = csv.reader(io.StringIO(text))
     header: list[str] | None = None
     candidates: list[tuple[int, AnnotationRecord]] = []
-    for row in reader:
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            report.error("", "malformed-line", f"line {reader.line_num}: {exc}")
+            report.records_rejected += 1
+            continue
         line_no = reader.line_num
         if not row or not any(cell.strip() for cell in row):
             continue

@@ -111,33 +111,26 @@ class CooccurrenceGraph:
 
 
 def build_graph(dataset: Dataset, min_support: int = 1) -> CooccurrenceGraph:
-    """Count pairwise co-occurrences over the dataset's records.
+    """Weigh each node pair by a popcount over the record bitsets ``dataset.masks``.
 
-    One pass over the records; each record with c concepts contributes
-    c class-concept pairs and c*(c-1)/2 concept-concept pairs.
+    Weight = ``(masks[a] & masks[b]).bit_count()``: C*(C-1)/2 popcounts over
+    n-bit sets for C names and n records, however many concepts a record has.
     """
     if min_support < 1:
         raise ValueError(f"min_support must be >= 1, got {min_support}")
-    class_idx = {name: i for i, name in enumerate(dataset.classes)}
-    concept_idx = {name: i for i, name in enumerate(dataset.concepts)}
+    masks = dataset.masks
+    nodes = [(NodeId(NodeKind.CLASS, i), masks[y]) for i, y in enumerate(dataset.classes)]
+    nodes += [(NodeId(NodeKind.CONCEPT, i), masks[c]) for i, c in enumerate(dataset.concepts)]
 
-    counts: dict[tuple[NodeId, NodeId], int] = {}
-    for rec in dataset.records:
-        cls = NodeId(NodeKind.CLASS, class_idx[rec.label])
-        nodes = [NodeId(NodeKind.CONCEPT, concept_idx[c]) for c in rec.concepts]
-        for node in nodes:
-            key = (cls, node)  # CLASS kind sorts before CONCEPT
-            counts[key] = counts.get(key, 0) + 1
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:  # record concepts are sorted, so a < b
-                key = (a, b)
-                counts[key] = counts.get(key, 0) + 1
-
-    weights = {pair: w for pair, w in counts.items() if w >= min_support}
+    weights: dict[tuple[NodeId, NodeId], int] = {}
     adjacency: dict[NodeId, list[NodeId]] = {}
-    for a, b in weights:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
+    for i, (a, mask_a) in enumerate(nodes):
+        for b, mask_b in nodes[i + 1 :]:  # nodes is sorted, so a < b
+            w = (mask_a & mask_b).bit_count()
+            if w >= min_support:
+                weights[(a, b)] = w
+                adjacency.setdefault(a, []).append(b)
+                adjacency.setdefault(b, []).append(a)
     return CooccurrenceGraph(
         classes=dataset.classes,
         concepts=dataset.concepts,

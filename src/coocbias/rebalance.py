@@ -114,7 +114,7 @@ class RebalanceConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.clip_threshold <= 1.0:
-            raise ValueError(f"clip_threshold must be in [0, 1], got {self.clip_threshold}")
+            raise ValueError(f"clip_threshold out of range: {self.clip_threshold} (expected 0 to 1)")
         if self.per_query_cap is not None and self.per_query_cap < 1:
             raise ValueError(f"per_query_cap must be >= 1, got {self.per_query_cap}")
 

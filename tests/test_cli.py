@@ -107,8 +107,34 @@ class TestDiagnose:
         assert main(["diagnose", "--input", str(mixed), "--lenient", "--out", str(tmp_path / "r.json")]) == 0
         assert "skipped" in capsys.readouterr().err
 
-    def test_bad_k_max_exits_1(self, d4_jsonl):
-        assert main(["diagnose", "--input", str(d4_jsonl), "--k-max", "0"]) == 1
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("diagnose", "--k-max"),
+            ("diagnose", "--min-support"),
+            ("diagnose", "--relax"),
+            ("sample", "--cap"),
+            ("export-graph", "--min-support"),
+        ],
+        ids=["k-max", "min-support", "relax", "cap", "export-graph-min-support"],
+    )
+    def test_bad_k_max_exits_1(self, d4_jsonl, command, flag, capsys):
+        assert main([command, "--input", str(d4_jsonl), flag, "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("nested.jsonl", b"[" * 100_000),
+            ("big.csv", b"id,label,concepts\na,b," + b"x" * 200_000),
+        ],
+        ids=["nested-json", "oversized-csv-cell"],
+    )
+    def test_unparseable_input_exits_1(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["diagnose", "--input", str(path)]) == 1
+        assert "malformed-line" in capsys.readouterr().err
 
     def test_vocab_flag(self, d4_jsonl, tmp_path):
         vocab = tmp_path / "vocab.json"

@@ -1,10 +1,12 @@
 """Parsing, validation, and normalization."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coocbias.dataset import (
     AnnotationRecord,
@@ -12,10 +14,12 @@ from coocbias.dataset import (
     load_vocabulary,
     parse_csv,
     parse_jsonl,
+    ValidationReport,
+    Vocabulary,
     serialize_jsonl,
     vocabulary,
 )
-from support import D4_CSV, D4_JSONL, datasets
+from support import D4_CSV, D4_JSONL, contains, datasets
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -173,6 +177,16 @@ class TestParseCsv:
         assert ds.records[0].concepts == ("x", "y")
 
 
+    def test_oversized_cell_is_a_line_error(self):
+        data = "id,label,concepts\na,b," + "x" * 200_000 + "\nc,d,e\n"
+        ds, rep = parse_csv(data)
+        assert ds is None
+        assert [(e.rule, e.message.split(":")[0]) for e in rep.errors] == [("malformed-line", "line 2")]
+        ds, rep = parse_csv(data, strict=False)
+        assert [r.id for r in ds.records] == ["c"]
+        assert rep.records_rejected == 1
+
+
 class TestVocabularyFile:
     def test_superset_concepts_allowed(self):
         vocab = load_vocabulary({"classes": ["A"], "concepts": ["x", "y", "z"]})
@@ -199,6 +213,71 @@ class TestVocabularyFile:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             load_vocabulary({"classes": "A", "concepts": []})
+
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ValueError, match="recursion depth"):
+            load_vocabulary(b"[" * 100_000)
+
+
+class TestHostileJsonl:
+    @pytest.mark.parametrize(
+        "text", [b"[" * 100_000, b'{"id": ' + b"1" * 5000 + b"}"], ids=["nested", "long-int"]
+    )
+    def test_undecodable_line_is_malformed(self, text):
+        ds, rep = parse_jsonl(D4_JSONL.encode() + text + b"\n")
+        assert ds is None
+        assert [(e.rule, e.message.split(":")[0]) for e in rep.errors] == [("malformed-line", "line 5")]
+        ds, rep = parse_jsonl(D4_JSONL.encode() + text + b"\n", strict=False)
+        assert ds.n == 4
+
+
+# Arbitrary bytes, text over the characters JSONL and CSV parsing reacts to,
+# and array nesting past the JSON decoder's recursion limit.
+HOSTILE_BYTES = st.one_of(
+    st.binary(),
+    st.text('{}[]",:;\\\r\n\x00 \ufeffidlabelconcepts0').map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.integers(0, 100_000).map(lambda n: b"[" * n),
+)
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(HOSTILE_BYTES, st.booleans(), st.sampled_from([parse_jsonl, parse_csv]))
+    def test_parsers_only_report(self, data, strict, parse):
+        ds, rep = parse(data, strict=strict)
+        assert isinstance(rep, ValidationReport)
+        assert isinstance(ds, Dataset) or (ds is None and rep.errors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(HOSTILE_BYTES)
+    def test_load_vocabulary_only_raises_value_error(self, data):
+        try:
+            assert isinstance(load_vocabulary(data), Vocabulary)
+        except ValueError:
+            pass
+
+
+class TestRecordMasks:
+    @PROPERTY_SETTINGS
+    @given(datasets())
+    def test_bit_per_record_and_name(self, ds):
+        assert set(ds.masks) == set(ds.classes) | set(ds.concepts)
+        for name, mask in ds.masks.items():
+            bits = [pos for pos, r in enumerate(ds.records) if contains(r, name)]
+            assert mask == sum(1 << pos for pos in bits)
+
+    def test_replace_builds_its_own_index(self, d4):
+        before = dict(d4.masks)
+        grown = dataclasses.replace(d4, records=d4.records + (AnnotationRecord("r5", "A", ("y",)),))
+        assert grown.masks["A"] == before["A"] | 1 << 4
+        assert grown.masks["y"] == before["y"] | 1 << 4
+        assert grown.masks["x"] == before["x"]
+        assert d4.masks == before
+
+    def test_vocabulary_only_concept_maps_to_zero(self):
+        vocab = load_vocabulary({"classes": ["A"], "concepts": ["x", "z"]})
+        ds, _ = parse_jsonl(line(), vocabulary=vocab)
+        assert ds.masks == {"A": 1, "x": 1, "z": 0}
 
 
 class TestDatasetInvariants:
