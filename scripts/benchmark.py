@@ -18,11 +18,9 @@ def build_dataset(n_records: int, n_classes: int, n_concepts: int, seed: int):
     base = n_concepts // n_classes
     remainder = n_concepts % n_classes
     groups = {}
-    start = 0
     for i in range(n_classes):
         size = base + (1 if i < remainder else 0)
         groups[f"class{i}"] = tuple(f"g{i}c{j:02d}" for j in range(size))
-        start += size
     spec = BiasSpec(
         groups=groups,
         rho=0.9,

@@ -205,7 +205,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if sorted(classes) != sorted(groups):
             raise fail("classes", "must match the keys of concept_groups")
     rho = obj.get("rho")
-    if not isinstance(rho, (int, float)) or isinstance(rho, bool):
+    # abs(rho) <= max also rejects NaN and integers too large for float()
+    if not isinstance(rho, (int, float)) or isinstance(rho, bool) or not abs(rho) <= sys.float_info.max:
         raise fail("rho", "expected a number in (0.5, 1.0]")
     per_class_n = obj.get("per_class_n")
     if not isinstance(per_class_n, int) or isinstance(per_class_n, bool):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,6 +43,9 @@ __all__ = [
 Source = Union[bytes, str, Path, IO[bytes], IO[str]]
 
 CSV_HEADER = ("id", "label", "concepts")
+
+# A lone surrogate cannot be encoded for output; only a JSON \u escape makes one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _clean(name: str) -> str:
@@ -104,41 +108,21 @@ class Dataset:
     ) -> "Dataset":
         """Build a dataset from already-normalized records.
 
-        Raises ValueError on any invariant violation (empty input, duplicate
-        ids, class/concept collision, record names outside an explicit
-        vocabulary). Parsers report these problems per line instead; this
-        constructor is the strict programmatic entry point.
+        The strict programmatic entry point: after checking what parsing
+        guarantees (non-empty id and label, sorted duplicate-free concepts),
+        it runs the parsers' validation in strict mode and raises ValueError
+        with the first error, citing 1-based record positions.
         """
-        recs = tuple(records)
-        if not recs:
-            raise ValueError("no records")
-        seen: set[str] = set()
-        for r in recs:
+        candidates = list(enumerate(records, start=1))
+        for _, r in candidates:
             if not r.id or not r.label:
                 raise ValueError(f"record with empty id or label: {r!r}")
-            if r.id in seen:
-                raise ValueError(f"duplicate id: {r.id!r}")
-            seen.add(r.id)
             if tuple(sorted(set(r.concepts))) != r.concepts:
                 raise ValueError(f"record {r.id!r}: concepts must be sorted and duplicate-free")
-        classes = tuple(sorted({r.label for r in recs}))
-        observed = sorted(set().union(*(set(r.concepts) for r in recs)))
-        if vocabulary is not None:
-            class_set = set(vocabulary.classes)
-            concept_set = set(vocabulary.concepts)
-            for r in recs:
-                if r.label not in class_set:
-                    raise ValueError(f"record {r.id!r}: label {r.label!r} not in vocabulary")
-                for c in r.concepts:
-                    if c not in concept_set:
-                        raise ValueError(f"record {r.id!r}: concept {c!r} not in vocabulary")
-            concepts = tuple(sorted(concept_set))
-        else:
-            concepts = tuple(observed)
-        collisions = set(classes) & set(concepts)
-        if collisions:
-            raise ValueError(f"class/concept collision: {sorted(collisions)!r}")
-        return cls(records=recs, classes=classes, concepts=concepts)
+        dataset, report = _finalize(candidates, ValidationReport(), True, vocabulary, "record")
+        if dataset is None:
+            raise ValueError(report.errors[0].message)
+        return dataset
 
 
 @dataclass(frozen=True)
@@ -167,6 +151,8 @@ def load_vocabulary(data: Source | dict) -> Vocabulary:
     overlap = set(classes) & set(concepts)
     if overlap:
         raise ValueError(f"vocabulary: classes and concepts overlap: {sorted(overlap)!r}")
+    if _SURROGATE.search("".join(classes + concepts)):
+        raise ValueError("vocabulary: names must be valid Unicode (lone surrogate escape)")
     return Vocabulary(classes=classes, concepts=concepts)
 
 
@@ -202,6 +188,11 @@ class ValidationReport:
 
     def error(self, record_id: str, rule: str, message: str) -> None:
         self.errors.append(ErrorEntry(record_id, rule, message))
+
+    def reject(self, record_id: str, rule: str, message: str) -> None:
+        """Record an error that drops one line or record."""
+        self.error(record_id, rule, message)
+        self.records_rejected += 1
 
     def warn(self, record_id: str, message: str) -> None:
         self.warnings.append(WarningEntry(record_id, message))
@@ -240,8 +231,7 @@ def _decoded_lines(data: bytes, report: ValidationReport) -> list[tuple[int, str
         try:
             out.append((line_no, raw.decode("utf-8")))
         except UnicodeDecodeError:
-            report.error("", "encoding", f"line {line_no}: invalid UTF-8")
-            report.records_rejected += 1
+            report.reject("", "encoding", f"line {line_no}: invalid UTF-8")
     return out
 
 
@@ -251,14 +241,18 @@ def _build_record(
     concept_items: list[str],
     line_no: int,
     report: ValidationReport,
+    escaped: bool = False,
 ) -> AnnotationRecord | None:
+    if escaped and _SURROGATE.search("".join([rid, label, *concept_items])):
+        report.reject("", "encoding", f"line {line_no}: name is not valid Unicode (lone surrogate escape)")
+        return None
     rid = _clean(rid)
     label = _clean(label)
     if not rid:
-        report.error("", "empty-field", f"line {line_no}: empty id")
+        report.reject("", "empty-field", f"line {line_no}: empty id")
         return None
     if not label:
-        report.error(rid, "empty-field", f"line {line_no}: empty label")
+        report.reject(rid, "empty-field", f"line {line_no}: empty label")
         return None
     cleaned = [_clean(c) for c in concept_items]
     if any(c == "" for c in cleaned):
@@ -277,69 +271,83 @@ def _finalize(
     report: ValidationReport,
     strict: bool,
     vocab: Vocabulary | None,
+    unit: str = "line",
 ) -> tuple[Dataset | None, ValidationReport]:
+    """Validate records and build the Dataset: the one path of both parsers and from_records.
+
+    ``candidates`` pair records with 1-based positions, cited as ``"<unit> <n>"``.
+    Duplicate ids, names outside ``vocab`` and class/concept collisions reject
+    records. Classes come from the survivors' labels, concepts from ``vocab``
+    or else the survivors.
+    """
     report.records_parsed = len(candidates)
 
     deduped: list[tuple[int, AnnotationRecord]] = []
-    first_line: dict[str, int] = {}
-    for line_no, rec in candidates:
-        if rec.id in first_line:
-            report.error(
+    first_seen: dict[str, int] = {}
+    for cand in candidates:
+        pos, rec = cand
+        if rec.id in first_seen:
+            report.reject(
                 rec.id,
                 "duplicate-id",
-                f"line {line_no}: duplicate id {rec.id!r} (first seen on line {first_line[rec.id]})",
+                f"{unit} {pos}: duplicate id {rec.id!r} (first seen on {unit} {first_seen[rec.id]})",
             )
-            report.records_rejected += 1
             continue
-        first_line[rec.id] = line_no
-        deduped.append((line_no, rec))
+        first_seen[rec.id] = pos
+        deduped.append(cand)  # the same pair: no new tuple per record
 
     if vocab is not None:
         in_vocab: list[tuple[int, AnnotationRecord]] = []
         class_set = set(vocab.classes)
         concept_set = set(vocab.concepts)
-        for line_no, rec in deduped:
+        for pos, rec in deduped:
             unknown = [c for c in rec.concepts if c not in concept_set]
             if rec.label not in class_set:
-                report.error(rec.id, "unknown-class", f"line {line_no}: label {rec.label!r} not in vocabulary")
-                report.records_rejected += 1
+                report.reject(rec.id, "unknown-class", f"{unit} {pos}: label {rec.label!r} not in vocabulary")
             elif unknown:
-                report.error(rec.id, "unknown-concept", f"line {line_no}: concepts not in vocabulary: {unknown!r}")
-                report.records_rejected += 1
+                report.reject(rec.id, "unknown-concept", f"{unit} {pos}: concepts not in vocabulary: {unknown!r}")
             else:
-                in_vocab.append((line_no, rec))
+                in_vocab.append((pos, rec))
         deduped = in_vocab
 
     # Class/concept collision is a file-level check: a name may not be used
     # both as a label and as a concept anywhere. In lenient mode the records
     # using the name as a concept are dropped, keeping the label side intact.
     label_source: dict[str, tuple[int, str]] = {}
-    for line_no, rec in deduped:
-        label_source.setdefault(rec.label, (line_no, rec.id))
+    for pos, rec in deduped:
+        label_source.setdefault(rec.label, (pos, rec.id))
     survivors: list[AnnotationRecord] = []
-    for line_no, rec in deduped:
-        hits = [c for c in rec.concepts if c in label_source]
-        if hits:
-            other_line, other_id = label_source[hits[0]]
-            report.error(
-                rec.id,
-                "class-concept-collision",
-                f"line {line_no}: class/concept collision: {hits[0]!r} is a concept of "
-                f"record {rec.id!r} and the label of record {other_id!r} (line {other_line})",
-            )
-            report.records_rejected += 1
+    for pos, rec in deduped:
+        if label_source.keys().isdisjoint(rec.concepts):
+            survivors.append(rec)
             continue
-        survivors.append(rec)
+        hit = next(c for c in rec.concepts if c in label_source)
+        other_pos, other_id = label_source[hit]
+        report.reject(
+            rec.id,
+            "class-concept-collision",
+            f"{unit} {pos}: class/concept collision: {hit!r} is a concept of "
+            f"record {rec.id!r} and the label of record {other_id!r} ({unit} {other_pos})",
+        )
 
     if not survivors:
         report.error("", "no-records", "no records")
     if (strict and report.errors) or not survivors:
         return None, report
 
-    dataset = Dataset.from_records(survivors, vocabulary=vocab)
-    report.distinct_classes = len(dataset.classes)
-    report.distinct_concepts = len(dataset.concepts)
-    return dataset, report
+    classes = tuple(sorted({rec.label for rec in survivors}))
+    if vocab is not None:
+        concepts = tuple(sorted(set(vocab.concepts)))
+    else:
+        concepts = tuple(sorted({c for rec in survivors for c in rec.concepts}))
+    # Only a Vocabulary built directly (not loaded) can still overlap here.
+    overlap = set(classes).intersection(concepts)
+    if overlap:
+        report.error("", "class-concept-collision", f"class/concept collision: {sorted(overlap)!r}")
+        return None, report
+    report.distinct_classes = len(classes)
+    report.distinct_concepts = len(concepts)
+    return Dataset(records=tuple(survivors), classes=classes, concepts=concepts), report
 
 
 def parse_jsonl(
@@ -361,32 +369,25 @@ def parse_jsonl(
         try:
             obj = json.loads(text)
         except (ValueError, RecursionError) as exc:
-            report.error("", "malformed-line", f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}")
-            report.records_rejected += 1
+            report.reject("", "malformed-line", f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}")
             continue
         if not isinstance(obj, dict):
-            report.error("", "malformed-line", f"line {line_no}: not a JSON object")
-            report.records_rejected += 1
+            report.reject("", "malformed-line", f"line {line_no}: not a JSON object")
             continue
         missing = [k for k in ("id", "label", "concepts") if k not in obj]
         if missing:
-            report.error("", "missing-field", f"line {line_no}: missing fields: {missing!r}")
-            report.records_rejected += 1
+            report.reject("", "missing-field", f"line {line_no}: missing fields: {missing!r}")
             continue
         rid, label, concepts = obj["id"], obj["label"], obj["concepts"]
         if not isinstance(rid, str) or not isinstance(label, str):
-            report.error("", "bad-type", f"line {line_no}: id and label must be strings")
-            report.records_rejected += 1
+            report.reject("", "bad-type", f"line {line_no}: id and label must be strings")
             continue
         if not isinstance(concepts, list) or not all(isinstance(c, str) for c in concepts):
-            report.error(rid, "bad-type", f"line {line_no}: concepts must be an array of strings")
-            report.records_rejected += 1
+            report.reject(rid, "bad-type", f"line {line_no}: concepts must be an array of strings")
             continue
-        rec = _build_record(rid, label, concepts, line_no, report)
-        if rec is None:
-            report.records_rejected += 1
-            continue
-        candidates.append((line_no, rec))
+        rec = _build_record(rid, label, concepts, line_no, report, "\\u" in text)
+        if rec is not None:
+            candidates.append((line_no, rec))
     return _finalize(candidates, report, strict, vocabulary)
 
 
@@ -418,8 +419,7 @@ def parse_csv(
         except StopIteration:
             break
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-            report.error("", "malformed-line", f"line {reader.line_num}: {exc}")
-            report.records_rejected += 1
+            report.reject("", "malformed-line", f"line {reader.line_num}: {exc}")
             continue
         line_no = reader.line_num
         if not row or not any(cell.strip() for cell in row):
@@ -431,16 +431,13 @@ def parse_csv(
                 return None, report
             continue
         if len(row) != 3:
-            report.error("", "wrong-column-count", f"line {line_no}: expected 3 columns, got {len(row)}")
-            report.records_rejected += 1
+            report.reject("", "wrong-column-count", f"line {line_no}: expected 3 columns, got {len(row)}")
             continue
         rid, label, cell = row
         items = cell.split(";") if cell.strip() else []
         rec = _build_record(rid, label, items, line_no, report)
-        if rec is None:
-            report.records_rejected += 1
-            continue
-        candidates.append((line_no, rec))
+        if rec is not None:
+            candidates.append((line_no, rec))
     if header is None:
         report.error("", "bad-header", "empty file: missing header row")
         return None, report

@@ -65,6 +65,18 @@ class TestDiagnose:
         assert not out.exists()
         assert "collision" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["stats"], ["diagnose", "--out", "r.json"], ["export-graph", "--out", "g.json"]],
+        ids=["stats", "diagnose", "export-graph"],
+    )
+    def test_lone_surrogate_name_exits_1(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.jsonl").write_text(r'{"id":"r1","label":"A","concepts":["\ud800"]}' + "\n")
+        assert main(command + ["--input", "bad.jsonl"]) == 1
+        assert "surrogate" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["diagnose", "--input", str(tmp_path / "nope.jsonl")]) == 2
 
@@ -261,8 +273,9 @@ class TestSynth:
         assert main(["synth", str(spec_file), "--seed", "99", "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
 
-    def test_invalid_rho_field_message(self, tmp_path, capsys):
-        spec = dict(SPEC, rho=0.3)
+    @pytest.mark.parametrize("rho", [0.3, 10**400], ids=["out-of-range", "too-large-for-float"])
+    def test_invalid_rho_field_message(self, tmp_path, capsys, rho):
+        spec = dict(SPEC, rho=rho)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
         assert main(["synth", str(path)]) == 1

@@ -90,6 +90,7 @@ class TestParseJsonl:
         ds, rep = parse_jsonl(text, strict=False)
         assert ds is not None
         assert [r.id for r in ds.records] == ["r1"]
+        assert ds.classes == ("A",)  # B labels only the dropped record
 
     def test_empty_concepts_accepted_with_warning(self):
         ds, rep = parse_jsonl(line(concepts=[]))
@@ -115,6 +116,15 @@ class TestParseJsonl:
         ds, _ = parse_jsonl(line("r1", " A ", [f"  {decomposed} "]))
         assert ds.records[0].label == "A"
         assert ds.records[0].concepts == (composed,)
+
+    def test_lone_surrogate_name_is_encoding_error(self):
+        bad = r'{"id":"r2","label":"A","concepts":["\ud800"]}'
+        ds, rep = parse_jsonl(line() + "\n" + bad)
+        assert ds is None
+        assert [(e.rule, e.message.split(":")[0]) for e in rep.errors] == [("encoding", "line 2")]
+        ds, rep = parse_jsonl(line() + "\n" + bad + "\n" + line("r3", "B", ["\u00e9"]), strict=False)
+        assert [r.concepts for r in ds.records] == [("x",), ("\u00e9",)]
+        assert rep.records_rejected == 1
 
     def test_bad_types_rejected(self):
         ds, rep = parse_jsonl('{"id":1,"label":"A","concepts":["x"]}')
@@ -210,6 +220,17 @@ class TestVocabularyFile:
         with pytest.raises(ValueError, match="overlap"):
             load_vocabulary({"classes": ["x"], "concepts": ["x"]})
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_directly_built_overlapping_vocabulary_is_reported(self, strict):
+        vocab = Vocabulary(classes=("A",), concepts=("A", "x"))
+        ds, rep = parse_jsonl(line(), strict=strict, vocabulary=vocab)
+        assert ds is None
+        assert [e.rule for e in rep.errors] == ["class-concept-collision"]
+
+    def test_lone_surrogate_name_rejected(self):
+        with pytest.raises(ValueError, match="surrogate"):
+            load_vocabulary(rb'{"classes": ["A"], "concepts": ["\udfff"]}')
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             load_vocabulary({"classes": "A", "concepts": []})
@@ -240,7 +261,30 @@ HOSTILE_BYTES = st.one_of(
 )
 
 
+# Fixed lines, each either a record or one kind of rejection; "A" and "B" are
+# labels that the collision line and the duplicate ids refer to.
+COUNTED_LINES = [
+    b'{"id":"g1","label":"A","concepts":["x","y"]}',
+    b'{"id":"g2","label":"B","concepts":["y"]}',
+    b'{"id":"g1","label":"B","concepts":["z"]}',  # duplicate id when g1 came first
+    b'{"id":"c1","label":"B","concepts":["A"]}',  # collision when an A record survives
+    b'{"id":"e1","label":" ","concepts":["x"]}',
+    b'{"id":"s1","label":"A","concepts":["\\ud800"]}',
+    b'{"id":1,"label":"A","concepts":[]}',
+    b'{"id":"m1","label":"A"}',
+    b"{not json",
+    b"\xff\xfe",
+    b"   ",
+]
+
+
 class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(COUNTED_LINES), max_size=12))
+    def test_lenient_counts_every_line(self, lines):
+        ds, rep = parse_jsonl(b"\n".join(lines), strict=False)
+        assert (ds.n if ds else 0) + rep.records_rejected == sum(1 for l in lines if l.strip())
+
     @settings(max_examples=300, deadline=None)
     @given(HOSTILE_BYTES, st.booleans(), st.sampled_from([parse_jsonl, parse_csv]))
     def test_parsers_only_report(self, data, strict, parse):
@@ -298,6 +342,15 @@ class TestDatasetInvariants:
     def test_from_records_rejects_unsorted_concepts(self):
         with pytest.raises(ValueError, match="sorted"):
             Dataset.from_records([AnnotationRecord("r1", "A", ("y", "x"))])
+
+    def test_from_records_checks_vocabulary(self):
+        vocab = Vocabulary(classes=("A",), concepts=("x", "z"))
+        ds = Dataset.from_records([AnnotationRecord("r1", "A", ("x",))], vocabulary=vocab)
+        assert ds.concepts == ("x", "z")
+        for label, concept, word in [("B", "x", "label"), ("A", "q", "concept")]:
+            with pytest.raises(ValueError, match=f"{word}.*not in vocabulary") as exc:
+                Dataset.from_records([AnnotationRecord("r1", label, (concept,))], vocabulary=vocab)
+            assert "line" not in str(exc.value)
 
     def test_vocabulary_accessor(self, d4):
         assert vocabulary(d4) == (("A", "B"), ("x", "y"))
