@@ -154,11 +154,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     dataset, digest = _load_dataset(args)
     config = _diagnosis_config(args)
     result = diagnose(dataset, config)
-    text = plan_jsonl(result.plan)
+    _write_output(args.out, plan_jsonl(result.plan))
     if args.out is None or args.out == "-":
-        sys.stdout.write(text)
         return EXIT_OK
-    _write_output(args.out, text)
     print(f"plan: {len(result.plan.queries)} queries, {result.plan.total_count} samples")
     for label in sorted(result.plan.per_class):
         print(f"  {label}: {result.plan.per_class[label]}")
@@ -313,39 +311,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json-errors", action="store_true", help="JSON error objects on stderr")
 
-    p = sub.add_parser("diagnose", help="write a full diagnosis report (JSON)")
+    p = sub.add_parser("diagnose", parents=[common], help="write a full diagnosis report (JSON)")
     _add_dataset_flags(p)
     _add_diagnosis_flags(p)
     p.add_argument("--out", default=None, help="report path (default: stdout)")
-    p.add_argument("--json-errors", action="store_true", help="JSON error objects on stderr")
     p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("sample", help="write a rebalance generation plan (JSONL)")
+    p = sub.add_parser("sample", parents=[common], help="write a rebalance generation plan (JSONL)")
     _add_dataset_flags(p)
     _add_diagnosis_flags(p)
     p.add_argument("--out", default=None, help="plan path (default: stdout, summary suppressed)")
-    p.add_argument("--json-errors", action="store_true", help="JSON error objects on stderr")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("export-graph", help="write the co-occurrence graph")
+    p = sub.add_parser("export-graph", parents=[common], help="write the co-occurrence graph")
     _add_dataset_flags(p)
     p.add_argument("--min-support", type=int, default=1, help="minimum edge weight to keep")
     p.add_argument("--graph-format", choices=["dot", "json"], default="json")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--json-errors", action="store_true", help="JSON error objects on stderr")
     p.set_defaults(func=cmd_export_graph)
 
-    p = sub.add_parser("synth", help="generate a biased dataset from a spec file")
+    p = sub.add_parser("synth", parents=[common], help="generate a biased dataset from a spec file")
     p.add_argument("spec", help="BiasSpec JSON file")
     p.add_argument("--out", default=None, help="dataset path (default: stdout)")
     p.add_argument("--seed", type=int, default=None, help="override the spec file's seed")
-    p.add_argument("--json-errors", action="store_true", help="JSON error objects on stderr")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("stats", help="print a dataset overview")
+    p = sub.add_parser("stats", parents=[common], help="print a dataset overview")
     _add_dataset_flags(p)
-    p.add_argument("--json-errors", action="store_true", help="JSON error objects on stderr")
     p.set_defaults(func=cmd_stats)
 
     return parser
@@ -356,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as err:
-        _emit_error(err, getattr(args, "json_errors", False))
+        _emit_error(err, args.json_errors)
         return err.exit_code
 
 

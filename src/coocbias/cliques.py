@@ -7,6 +7,10 @@ many records of each class contain all concepts of a common clique exposes
 per-class imbalance: spurious class-concept correlations show up as lopsided
 counts on small cliques.
 
+Per-class and common cliques come from one depth-first search over the
+graph's adjacency bitsets that prunes a branch once too few classes remain,
+so the common cliques cost no per-class lists.
+
 Cliques are represented as sorted tuples of concept names so that equality,
 hashing, and report ordering are canonical without extra bookkeeping.
 """
@@ -16,9 +20,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .dataset import Dataset
-from .graph import CooccurrenceGraph, NodeId, NodeKind
+from .graph import CooccurrenceGraph
 
 __all__ = [
     "Clique",
@@ -36,19 +41,54 @@ __all__ = [
 Clique = tuple[str, ...]
 
 
+def _search(
+    graph: CooccurrenceGraph, labels: int, needed: int, k_max: int
+) -> dict[int, tuple[Clique, ...]]:
+    """Concept cliques adjacent to at least ``needed`` of the classes in ``labels``.
+
+    ``labels`` is a bitset over class positions. Depth-first over concepts in
+    sorted order; a branch carries the candidates and the classes adjacent to
+    every member, and stops once fewer than ``needed`` classes remain. Each
+    clique is produced once, and each level comes out lexicographically sorted.
+    """
+    adjacency = graph.adjacency
+    concepts = graph.concepts
+    offset = len(graph.classes)
+    by_level: dict[int, list[Clique]] = {k: [] for k in range(1, k_max + 1)}
+
+    def expand(clique: Clique, candidates: int, classes: int) -> None:
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            p = low.bit_length() - 1
+            shared = classes & adjacency[p]
+            if shared.bit_count() < needed:
+                continue
+            grown = clique + (concepts[p - offset],)
+            by_level[len(grown)].append(grown)
+            if len(grown) < k_max:
+                expand(grown, candidates & adjacency[p], shared)
+
+    expand((), ((1 << len(concepts)) - 1) << offset, labels)
+    return {k: tuple(v) for k, v in by_level.items()}
+
+
 @dataclass(frozen=True)
 class ClassCliqueSet:
     """All concept cliques of one class, grouped by size.
 
     ``by_level[k]`` lists the size-k cliques in lexicographic order. Levels
     run from 1 to ``k_max`` inclusive; a level with no cliques is an empty
-    tuple. ``graph_fingerprint`` ties the result to the graph it came from.
+    tuple. ``by_level`` is computed from ``graph`` on first access.
     """
 
     label: str
     k_max: int
-    by_level: dict[int, tuple[Clique, ...]]
-    graph_fingerprint: str
+    graph: CooccurrenceGraph = field(repr=False)
+
+    @cached_property
+    def by_level(self) -> dict[int, tuple[Clique, ...]]:
+        return _search(self.graph, 1 << self.graph.classes.index(self.label), 1, self.k_max)
 
     def level(self, k: int) -> tuple[Clique, ...]:
         return self.by_level.get(k, ())
@@ -62,54 +102,32 @@ class ClassCliqueSet:
 def enumerate_class_cliques(
     graph: CooccurrenceGraph, label: str, k_max: int
 ) -> ClassCliqueSet:
-    """List concept cliques around one class, by size, up to k_max.
+    """Concept cliques around one class, by size, up to k_max.
 
-    Depth-first expansion over the class's concept neighbors in sorted order:
-    each clique is extended only with higher-indexed candidates adjacent to
-    every current member, so each clique is produced exactly once and each
-    level comes out lexicographically sorted.
+    Only the arguments are checked here; the cliques are listed when the
+    result's ``by_level`` is first read.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if label not in graph.classes:
         raise ValueError(f"unknown class: {label!r}")
-    cls = graph.class_node(label)
-    anchor = [n for n in graph.neighbors(cls) if n.kind == NodeKind.CONCEPT]
-    weights = graph.weights  # candidates stay sorted, so (node, c) is canonical
-
-    by_level: dict[int, list[Clique]] = {k: [] for k in range(1, k_max + 1)}
-
-    def expand(clique: list[NodeId], candidates: list[NodeId]) -> None:
-        if clique:
-            by_level[len(clique)].append(tuple(graph.name(n) for n in clique))
-        if len(clique) == k_max:
-            return
-        for i, node in enumerate(candidates):
-            extended = [c for c in candidates[i + 1 :] if (node, c) in weights]
-            expand(clique + [node], extended)
-
-    expand([], anchor)
-    return ClassCliqueSet(
-        label=label,
-        k_max=k_max,
-        by_level={k: tuple(v) for k, v in by_level.items()},
-        graph_fingerprint=graph.fingerprint(),
-    )
+    return ClassCliqueSet(label=label, k_max=k_max, graph=graph)
 
 
 def common_clique_set(
     per_class: list[ClassCliqueSet], relax_fraction: float | None = None
 ) -> dict[int, tuple[Clique, ...]]:
-    """Intersect clique sets across classes, level by level.
+    """Cliques shared across classes, level by level.
 
     By default a clique must appear for every class. With ``relax_fraction``
     set (0 < f <= 1), appearing for at least ceil(f * n_classes) classes is
-    enough; f = 1.0 reproduces the strict intersection.
+    enough; f = 1.0 reproduces the strict intersection. One search over the
+    given classes finds them; no class's own clique list is computed.
     """
     if not per_class:
         raise ValueError("no class clique sets given")
-    fingerprints = {s.graph_fingerprint for s in per_class}
-    if len(fingerprints) > 1:
+    graph = per_class[0].graph
+    if any(s.graph != graph for s in per_class):
         raise ValueError("class clique sets come from different graphs")
     k_maxes = {s.k_max for s in per_class}
     if len(k_maxes) > 1:
@@ -120,20 +138,12 @@ def common_clique_set(
     if relax_fraction is not None and not 0.0 < relax_fraction <= 1.0:
         raise ValueError(f"relax_fraction must be in (0, 1], got {relax_fraction}")
 
-    k_max = per_class[0].k_max
     if relax_fraction is None:
         needed = len(per_class)
     else:
         needed = max(1, math.ceil(relax_fraction * len(per_class)))
-
-    out: dict[int, tuple[Clique, ...]] = {}
-    for k in range(1, k_max + 1):
-        tallies: dict[Clique, int] = {}
-        for s in per_class:
-            for q in s.level(k):
-                tallies[q] = tallies.get(q, 0) + 1
-        out[k] = tuple(sorted(q for q, n in tallies.items() if n >= needed))
-    return out
+    bits = sum(1 << graph.classes.index(y) for y in labels)  # labels are distinct
+    return _search(graph, bits, needed, per_class[0].k_max)
 
 
 class Provenance(enum.Enum):

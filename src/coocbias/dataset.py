@@ -203,15 +203,16 @@ class ValidationReport:
 
 
 def _source_bytes(source: Source) -> bytes:
+    # surrogatepass: a lone surrogate in a str becomes bytes the decode rejects
     if isinstance(source, (bytes, bytearray)):
         return bytes(source)
     if isinstance(source, str):
-        return source.encode("utf-8")
+        return source.encode("utf-8", "surrogatepass")
     if isinstance(source, Path):
         return source.read_bytes()
     data = source.read()
     if isinstance(data, str):
-        return data.encode("utf-8")
+        return data.encode("utf-8", "surrogatepass")
     return data
 
 

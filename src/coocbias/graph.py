@@ -7,14 +7,14 @@ because every record has exactly one label. Edges with weight below
 ``min_support`` are dropped at build time.
 
 Node identity is (kind, index) where index points into the dataset's sorted
-class or concept list, so equal datasets yield equal graphs. The adjacency
-order is deterministic: class nodes first, then concept nodes, each block in
-lexicographic name order.
+class or concept list, so equal datasets yield equal graphs. Node positions
+follow ``nodes()``: class nodes first, then concept nodes, each block in
+lexicographic name order; each node's neighbors are one ``int`` bitset over
+those positions.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -48,14 +48,15 @@ class CooccurrenceGraph:
     """Immutable undirected weighted graph of classes and concepts.
 
     ``weights`` maps canonical pairs (a, b) with a < b to positive counts;
-    ``adjacency`` holds each node's sorted neighbor tuple. Instances are
+    ``adjacency[p]`` is the bitset of the neighbors of the node at position p
+    of ``nodes()`` (bit q set for the neighbor at position q). Instances are
     value objects: building twice from the same dataset gives equal graphs.
     """
 
     classes: tuple[str, ...]
     concepts: tuple[str, ...]
     weights: dict[tuple[NodeId, NodeId], int]
-    adjacency: dict[NodeId, tuple[NodeId, ...]]
+    adjacency: tuple[int, ...]
     min_support: int
 
     def name(self, node: NodeId) -> str:
@@ -74,15 +75,17 @@ class CooccurrenceGraph:
             + [NodeId(NodeKind.CONCEPT, i) for i in range(len(self.concepts))]
         )
 
-    def _check_node(self, node: NodeId) -> None:
+    def _position(self, node: NodeId) -> int:
+        """Index of node in ``nodes()``; ValueError for a node not in the graph."""
         pool = self.classes if node.kind == NodeKind.CLASS else self.concepts
         if not 0 <= node.index < len(pool):
             raise ValueError(f"unknown node: {node!r}")
+        return node.index if node.kind == NodeKind.CLASS else len(self.classes) + node.index
 
     def weight(self, a: NodeId, b: NodeId) -> int:
         """Weight of edge {a, b}; 0 if absent. Symmetric in its arguments."""
-        self._check_node(a)
-        self._check_node(b)
+        self._position(a)
+        self._position(b)
         if a == b:
             raise ValueError(f"self-pair: {self.name(a)!r}")
         if b < a:
@@ -91,23 +94,11 @@ class CooccurrenceGraph:
 
     def neighbors(self, node: NodeId) -> tuple[NodeId, ...]:
         """Nodes sharing an edge with node, sorted; empty for isolated nodes."""
-        self._check_node(node)
-        return self.adjacency.get(node, ())
+        bits = self.adjacency[self._position(node)]
+        return tuple(n for p, n in enumerate(self.nodes()) if bits >> p & 1)
 
     def degree(self, node: NodeId) -> int:
-        self._check_node(node)
-        return len(self.adjacency.get(node, ()))
-
-    def has_edge(self, a: NodeId, b: NodeId) -> bool:
-        return self.weight(a, b) > 0
-
-    def fingerprint(self) -> str:
-        """sha256 over the canonical node and edge listing."""
-        h = hashlib.sha256()
-        h.update(repr((self.classes, self.concepts, self.min_support)).encode("utf-8"))
-        for (a, b), w in sorted(self.weights.items()):
-            h.update(f"{a.kind}:{a.index}-{b.kind}:{b.index}={w};".encode("ascii"))
-        return h.hexdigest()
+        return self.adjacency[self._position(node)].bit_count()
 
 
 def build_graph(dataset: Dataset, min_support: int = 1) -> CooccurrenceGraph:
@@ -123,19 +114,19 @@ def build_graph(dataset: Dataset, min_support: int = 1) -> CooccurrenceGraph:
     nodes += [(NodeId(NodeKind.CONCEPT, i), masks[c]) for i, c in enumerate(dataset.concepts)]
 
     weights: dict[tuple[NodeId, NodeId], int] = {}
-    adjacency: dict[NodeId, list[NodeId]] = {}
+    adjacency = [0] * len(nodes)
     for i, (a, mask_a) in enumerate(nodes):
-        for b, mask_b in nodes[i + 1 :]:  # nodes is sorted, so a < b
+        for j, (b, mask_b) in enumerate(nodes[i + 1 :], i + 1):  # nodes is sorted, so a < b
             w = (mask_a & mask_b).bit_count()
             if w >= min_support:
                 weights[(a, b)] = w
-                adjacency.setdefault(a, []).append(b)
-                adjacency.setdefault(b, []).append(a)
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
     return CooccurrenceGraph(
         classes=dataset.classes,
         concepts=dataset.concepts,
         weights=weights,
-        adjacency={node: tuple(sorted(nbrs)) for node, nbrs in adjacency.items()},
+        adjacency=tuple(adjacency),
         min_support=min_support,
     )
 

@@ -1,11 +1,11 @@
 """End-to-end diagnosis pipeline and canonical report serialization.
 
-``diagnose`` wires the stages together: graph build, per-class clique
-enumeration, intersection, frequency counting, imbalance extraction, and a
-plan drawn from the resulting table. Reports and plans serialize to
-byte-stable JSON (sorted keys, two-space indent, LF line endings, trailing
-newline) so that repeated runs over the same input are byte-identical and
-diff cleanly. File writes go through a temp file and an atomic rename.
+``diagnose`` wires the stages together: graph build, the common-clique
+search (one search over all classes; no class's own clique list is built),
+frequency counting, imbalance extraction, and a plan drawn from the
+resulting table. Reports and plans serialize to byte-stable JSON (sorted
+keys, two-space indent, LF line endings, trailing newline) so that repeated
+runs over the same input are byte-identical and diff cleanly. File writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ not tautology.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -88,6 +90,17 @@ def oracle_common_cliques(records, classes, k_max: int, min_support: int = 1):
         for sets in per_class[1:]:
             shared &= set(sets[k])
         out[k] = sorted(shared)
+    return out
+
+
+def oracle_relaxed_common_cliques(records, classes, k_max: int, fraction: float, min_support: int = 1):
+    """Brute-force cliques found for at least ceil(fraction * n_classes) classes."""
+    needed = math.ceil(fraction * len(classes))
+    per_class = [brute_force_class_cliques(records, y, k_max, min_support) for y in classes]
+    out: dict[int, list[tuple[str, ...]]] = {}
+    for k in range(1, k_max + 1):
+        found = Counter(q for sets in per_class for q in sets[k])
+        out[k] = sorted(q for q, n in found.items() if n >= needed)
     return out
 
 

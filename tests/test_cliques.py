@@ -13,11 +13,13 @@ from coocbias.cliques import (
 )
 from coocbias.dataset import AnnotationRecord, Dataset
 from coocbias.graph import build_graph
+from coocbias.report import DiagnosisConfig, diagnose
 from support import (
     brute_force_class_cliques,
     datasets,
     oracle_common_cliques,
     oracle_imbalances,
+    oracle_relaxed_common_cliques,
     random_dataset,
 )
 
@@ -161,6 +163,20 @@ class TestCommonCliques:
         with pytest.raises(ValueError, match="k_max"):
             common_clique_set([a, b])
 
+    def test_sets_from_separate_equal_builds_accepted(self, d4):
+        a = enumerate_class_cliques(build_graph(d4), "A", 2)
+        b = enumerate_class_cliques(build_graph(d4), "B", 2)
+        assert common_clique_set([a, b]) == {1: (("x",), ("y",)), 2: (("x", "y"),)}
+
+    def test_class_lists_computed_only_when_read(self, d4):
+        g = build_graph(d4)
+        per = [enumerate_class_cliques(g, y, 2) for y in d4.classes]
+        common_clique_set(per)
+        common_clique_set(per, relax_fraction=0.5)
+        assert all("by_level" not in s.__dict__ for s in per)
+        assert per[0].level(2) == (("x", "y"),)
+        assert "by_level" in per[0].__dict__
+
     def test_duplicate_class_rejected(self, d4):
         g = build_graph(d4)
         a = enumerate_class_cliques(g, "A", 2)
@@ -193,6 +209,25 @@ class TestCommonCliques:
             per = [enumerate_class_cliques(g, y, 3) for y in ds.classes]
             common = common_clique_set(per)
             expected = oracle_common_cliques(ds.records, ds.classes, 3)
+            for k in (1, 2, 3):
+                assert list(common[k]) == expected[k], (seed, k)
+
+    def test_diagnose_relaxed_matches_oracle(self):
+        for seed in range(60):
+            ds = random_dataset(seed)
+            for fraction in (0.34, 0.5, 0.75):
+                for min_support in (1, 2):
+                    config = DiagnosisConfig(min_support=min_support, k_max=3, relax_fraction=fraction)
+                    common = diagnose(ds, config).common
+                    expected = oracle_relaxed_common_cliques(ds.records, ds.classes, 3, fraction, min_support)
+                    for k in (1, 2, 3):
+                        assert list(common[k]) == expected[k], (seed, fraction, min_support, k)
+
+    def test_diagnose_strict_min_support_matches_oracle(self):
+        for seed in range(60):
+            ds = random_dataset(seed)
+            common = diagnose(ds, DiagnosisConfig(min_support=2, k_max=3)).common
+            expected = oracle_common_cliques(ds.records, ds.classes, 3, min_support=2)
             for k in (1, 2, 3):
                 assert list(common[k]) == expected[k], (seed, k)
 

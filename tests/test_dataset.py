@@ -126,6 +126,17 @@ class TestParseJsonl:
         assert [r.concepts for r in ds.records] == [("x",), ("\u00e9",)]
         assert rep.records_rejected == 1
 
+    @pytest.mark.parametrize("wrap", [str, io.StringIO], ids=["str", "stringio"])
+    def test_lone_surrogate_character_in_str_source_is_encoding_error(self, wrap):
+        bad = '{"id":"r2","label":"A","concepts":["\ud800"]}'  # a real surrogate, not an escape
+        ds, rep = parse_jsonl(wrap(bad))
+        assert ds is None
+        assert [(e.rule, e.message) for e in rep.errors][0] == ("encoding", "line 1: invalid UTF-8")
+        ds, rep = parse_jsonl(wrap(line() + "\n" + bad + "\n" + line("r3", "B")), strict=False)
+        assert [r.id for r in ds.records] == ["r1", "r3"]
+        assert [(e.rule, e.message) for e in rep.errors] == [("encoding", "line 2: invalid UTF-8")]
+        assert rep.records_rejected == 1
+
     def test_bad_types_rejected(self):
         ds, rep = parse_jsonl('{"id":1,"label":"A","concepts":["x"]}')
         assert ds is None
@@ -186,6 +197,13 @@ class TestParseCsv:
         assert rep.ok
         assert ds.records[0].concepts == ("x", "y")
 
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("wrap", [str, io.StringIO], ids=["str", "stringio"])
+    def test_lone_surrogate_character_in_str_source_is_encoding_error(self, wrap, strict):
+        ds, rep = parse_csv(wrap("id,label,concepts\nr1,A,x\nr2,B,\ud800\n"), strict=strict)
+        assert ds is None
+        assert [(e.rule, e.message) for e in rep.errors] == [("encoding", "file is not valid UTF-8")]
 
     def test_oversized_cell_is_a_line_error(self):
         data = "id,label,concepts\na,b," + "x" * 200_000 + "\nc,d,e\n"
