@@ -12,6 +12,14 @@ Both parsers normalize names (Unicode NFC, surrounding whitespace trimmed,
 case preserved), deduplicate concepts per record, and enforce that class and
 concept name spaces never overlap. Parsing is single-threaded per stream; a
 constructed :class:`Dataset` is immutable and safe for concurrent reads.
+
+Cost model: both parsers build records through one builder that cleans each
+distinct raw name and each distinct raw concept list once per parse, so the
+per-record work is a few dict lookups, and records share one ``str`` per raw
+name and one tuple per raw concept list. A JSONL input is decoded in one call
+(line by line only when it holds invalid UTF-8). Validation checks whole sets
+first and walks the records one by one only when a set check finds a duplicate
+id or a class/concept collision.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Callable, Iterable, Union
 
 __all__ = [
     "AnnotationRecord",
@@ -46,6 +54,9 @@ CSV_HEADER = ("id", "label", "concepts")
 
 # A lone surrogate cannot be encoded for output; only a JSON \u escape makes one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
+
+# One shared encoder: json.dumps builds a new one per call when given ensure_ascii.
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _clean(name: str) -> str:
@@ -114,11 +125,15 @@ class Dataset:
         with the first error, citing 1-based record positions.
         """
         candidates = list(enumerate(records, start=1))
+        checked: set[tuple[str, ...]] = set()
         for _, r in candidates:
             if not r.id or not r.label:
                 raise ValueError(f"record with empty id or label: {r!r}")
+            if isinstance(r.concepts, tuple) and r.concepts in checked:
+                continue
             if tuple(sorted(set(r.concepts))) != r.concepts:
                 raise ValueError(f"record {r.id!r}: concepts must be sorted and duplicate-free")
+            checked.add(r.concepts)
         dataset, report = _finalize(candidates, ValidationReport(), True, vocabulary, "record")
         if dataset is None:
             raise ValueError(report.errors[0].message)
@@ -221,50 +236,93 @@ def _source_text(source: Source) -> str:
     return _source_bytes(source).decode("utf-8-sig")
 
 
-def _decoded_lines(data: bytes, report: ValidationReport) -> list[tuple[int, str]]:
-    """Split into (1-based line number, text) pairs; LF or CRLF accepted."""
+def _decoded_lines(data: bytes, report: ValidationReport) -> list[str]:
+    """Split into lines, LF or CRLF; line i of the result is line i + 1 of the input.
+
+    The input is decoded in one call. Only when that fails is each line decoded
+    on its own, so an invalid line is reported with its number and kept as a
+    blank line. Splitting is on LF alone: a raw U+2028 or U+0085 is legal inside
+    a JSON string.
+    """
     if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
-    out: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(data.split(b"\n"), start=1):
-        if raw.endswith(b"\r"):
-            raw = raw[:-1]
-        try:
-            out.append((line_no, raw.decode("utf-8")))
-        except UnicodeDecodeError:
-            report.reject("", "encoding", f"line {line_no}: invalid UTF-8")
-    return out
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        lines = []
+        for line_no, raw in enumerate(data.split(b"\n"), start=1):
+            try:
+                lines.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                report.reject("", "encoding", f"line {line_no}: invalid UTF-8")
+                lines.append("")
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
-def _build_record(
-    rid: str,
-    label: str,
-    concept_items: list[str],
-    line_no: int,
-    report: ValidationReport,
-    escaped: bool = False,
-) -> AnnotationRecord | None:
-    if escaped and _SURROGATE.search("".join([rid, label, *concept_items])):
-        report.reject("", "encoding", f"line {line_no}: name is not valid Unicode (lone surrogate escape)")
-        return None
-    rid = _clean(rid)
-    label = _clean(label)
-    if not rid:
-        report.reject("", "empty-field", f"line {line_no}: empty id")
-        return None
-    if not label:
-        report.reject(rid, "empty-field", f"line {line_no}: empty label")
-        return None
-    cleaned = [_clean(c) for c in concept_items]
-    if any(c == "" for c in cleaned):
-        report.warn(rid, f"line {line_no}: empty concept name ignored")
-        cleaned = [c for c in cleaned if c]
-    if len(set(cleaned)) < len(cleaned):
-        report.warn(rid, f"line {line_no}: duplicate concepts deduplicated")
-    concepts = tuple(sorted(set(cleaned)))
-    if not concepts:
-        report.warn(rid, f"line {line_no}: record has no concepts")
-    return AnnotationRecord(id=rid, label=label, concepts=concepts)
+class _RecordBuilder:
+    """Cleans and checks the records of one parse, each distinct input once.
+
+    Every distinct raw name is cleaned once and every distinct raw concept list
+    is cleaned, sorted and de-duplicated once, so records with equal raw names
+    or lists share one ``str`` or tuple. ``split`` turns a raw concept list,
+    the cache key, into its raw names. Warnings are still emitted per record.
+    """
+
+    def __init__(self, report: ValidationReport, split: Callable[[object], Iterable[str]]) -> None:
+        self.report = report
+        self.split = split
+        self.names: dict[str, str] = {}
+        self.lists: dict[object, tuple[str, ...]] = {}
+        # (had_empty, had_duplicate) of the lists that hold either, kept out of
+        # ``lists``: a value tuple that holds a new tuple stays tracked by the
+        # garbage collector and costs extra full collections when lists
+        # rarely repeat.
+        self.flagged: dict[object, tuple[bool, bool]] = {}
+        self.candidates: list[tuple[int, AnnotationRecord]] = []
+
+    def _name(self, raw: str) -> str:
+        name = self.names.get(raw)
+        if name is None:
+            name = self.names[raw] = _clean(raw)
+        return name
+
+    def _concepts(self, key: object) -> tuple[str, ...]:
+        cleaned = [self._name(c) for c in self.split(key)]
+        had_empty = "" in cleaned
+        if had_empty:
+            cleaned = [c for c in cleaned if c]
+        unique = set(cleaned)
+        had_duplicate = len(unique) < len(cleaned)
+        if had_empty or had_duplicate:
+            self.flagged[key] = (had_empty, had_duplicate)
+        return tuple(sorted(unique))
+
+    def add(self, line_no: int, rid: str, label: str, key: object) -> None:
+        report = self.report
+        # NFC leaves ASCII unchanged; ids are unique, so caching them gains nothing.
+        rid = rid.strip() if rid.isascii() else _clean(rid)
+        if not rid:
+            report.reject("", "empty-field", f"line {line_no}: empty id")
+            return
+        label = self._name(label)
+        if not label:
+            report.reject(rid, "empty-field", f"line {line_no}: empty label")
+            return
+        concepts = self.lists.get(key)
+        if concepts is None:
+            concepts = self.lists[key] = self._concepts(key)
+        had_empty, had_duplicate = self.flagged.get(key, (False, False))
+        if had_empty:
+            report.warn(rid, f"line {line_no}: empty concept name ignored")
+        if had_duplicate:
+            report.warn(rid, f"line {line_no}: duplicate concepts deduplicated")
+        if not concepts:
+            report.warn(rid, f"line {line_no}: record has no concepts")
+        self.candidates.append((line_no, AnnotationRecord(rid, label, concepts)))
+
+
+def _split_cell(cell: str) -> list[str]:
+    return cell.split(";") if cell.strip() else []
 
 
 def _finalize(
@@ -283,19 +341,22 @@ def _finalize(
     """
     report.records_parsed = len(candidates)
 
-    deduped: list[tuple[int, AnnotationRecord]] = []
-    first_seen: dict[str, int] = {}
-    for cand in candidates:
-        pos, rec = cand
-        if rec.id in first_seen:
-            report.reject(
-                rec.id,
-                "duplicate-id",
-                f"{unit} {pos}: duplicate id {rec.id!r} (first seen on {unit} {first_seen[rec.id]})",
-            )
-            continue
-        first_seen[rec.id] = pos
-        deduped.append(cand)  # the same pair: no new tuple per record
+    # The per-record loops below run only when a set check finds something.
+    deduped = candidates
+    if len({rec.id for _, rec in candidates}) < len(candidates):
+        deduped = []
+        first_seen: dict[str, int] = {}
+        for cand in candidates:
+            pos, rec = cand
+            if rec.id in first_seen:
+                report.reject(
+                    rec.id,
+                    "duplicate-id",
+                    f"{unit} {pos}: duplicate id {rec.id!r} (first seen on {unit} {first_seen[rec.id]})",
+                )
+                continue
+            first_seen[rec.id] = pos
+            deduped.append(cand)  # the same pair: no new tuple per record
 
     if vocab is not None:
         in_vocab: list[tuple[int, AnnotationRecord]] = []
@@ -314,33 +375,36 @@ def _finalize(
     # Class/concept collision is a file-level check: a name may not be used
     # both as a label and as a concept anywhere. In lenient mode the records
     # using the name as a concept are dropped, keeping the label side intact.
-    label_source: dict[str, tuple[int, str]] = {}
-    for pos, rec in deduped:
-        label_source.setdefault(rec.label, (pos, rec.id))
-    survivors: list[AnnotationRecord] = []
-    for pos, rec in deduped:
-        if label_source.keys().isdisjoint(rec.concepts):
-            survivors.append(rec)
-            continue
-        hit = next(c for c in rec.concepts if c in label_source)
-        other_pos, other_id = label_source[hit]
-        report.reject(
-            rec.id,
-            "class-concept-collision",
-            f"{unit} {pos}: class/concept collision: {hit!r} is a concept of "
-            f"record {rec.id!r} and the label of record {other_id!r} ({unit} {other_pos})",
-        )
+    labels = {rec.label for _, rec in deduped}
+    concept_names = set().union(*{rec.concepts for _, rec in deduped})
+    survivors = [rec for _, rec in deduped]
+    if not labels.isdisjoint(concept_names):
+        label_source: dict[str, tuple[int, str]] = {}
+        for pos, rec in deduped:
+            label_source.setdefault(rec.label, (pos, rec.id))
+        survivors = []
+        for pos, rec in deduped:
+            if label_source.keys().isdisjoint(rec.concepts):
+                survivors.append(rec)
+                continue
+            hit = next(c for c in rec.concepts if c in label_source)
+            other_pos, other_id = label_source[hit]
+            report.reject(
+                rec.id,
+                "class-concept-collision",
+                f"{unit} {pos}: class/concept collision: {hit!r} is a concept of "
+                f"record {rec.id!r} and the label of record {other_id!r} ({unit} {other_pos})",
+            )
+        labels = {rec.label for rec in survivors}
+        concept_names = {c for rec in survivors for c in rec.concepts}
 
     if not survivors:
         report.error("", "no-records", "no records")
     if (strict and report.errors) or not survivors:
         return None, report
 
-    classes = tuple(sorted({rec.label for rec in survivors}))
-    if vocab is not None:
-        concepts = tuple(sorted(set(vocab.concepts)))
-    else:
-        concepts = tuple(sorted({c for rec in survivors for c in rec.concepts}))
+    classes = tuple(sorted(labels))
+    concepts = tuple(sorted(set(vocab.concepts) if vocab is not None else concept_names))
     # Only a Vocabulary built directly (not loaded) can still overlap here.
     overlap = set(classes).intersection(concepts)
     if overlap:
@@ -363,8 +427,8 @@ def parse_jsonl(
     construction. Blank lines are skipped; record order follows file order.
     """
     report = ValidationReport()
-    candidates: list[tuple[int, AnnotationRecord]] = []
-    for line_no, text in _decoded_lines(_source_bytes(source), report):
+    builder = _RecordBuilder(report, split=tuple)
+    for line_no, text in enumerate(_decoded_lines(_source_bytes(source), report), start=1):
         if not text.strip():
             continue
         try:
@@ -375,21 +439,24 @@ def parse_jsonl(
         if not isinstance(obj, dict):
             report.reject("", "malformed-line", f"line {line_no}: not a JSON object")
             continue
-        missing = [k for k in ("id", "label", "concepts") if k not in obj]
-        if missing:
+        try:
+            rid, label, concepts = obj["id"], obj["label"], obj["concepts"]
+        except KeyError:
+            missing = [k for k in ("id", "label", "concepts") if k not in obj]
             report.reject("", "missing-field", f"line {line_no}: missing fields: {missing!r}")
             continue
-        rid, label, concepts = obj["id"], obj["label"], obj["concepts"]
         if not isinstance(rid, str) or not isinstance(label, str):
             report.reject("", "bad-type", f"line {line_no}: id and label must be strings")
             continue
         if not isinstance(concepts, list) or not all(isinstance(c, str) for c in concepts):
             report.reject(rid, "bad-type", f"line {line_no}: concepts must be an array of strings")
             continue
-        rec = _build_record(rid, label, concepts, line_no, report, "\\u" in text)
-        if rec is not None:
-            candidates.append((line_no, rec))
-    return _finalize(candidates, report, strict, vocabulary)
+        # A lone surrogate can only come from a \u escape.
+        if "\\u" in text and _SURROGATE.search("".join([rid, label, *concepts])):
+            report.reject("", "encoding", f"line {line_no}: name is not valid Unicode (lone surrogate escape)")
+            continue
+        builder.add(line_no, rid, label, tuple(concepts))
+    return _finalize(builder.candidates, report, strict, vocabulary)
 
 
 def parse_csv(
@@ -413,7 +480,7 @@ def parse_csv(
 
     reader = csv.reader(io.StringIO(text))
     header: list[str] | None = None
-    candidates: list[tuple[int, AnnotationRecord]] = []
+    builder = _RecordBuilder(report, split=_split_cell)
     while True:
         try:
             row = next(reader)
@@ -434,26 +501,16 @@ def parse_csv(
         if len(row) != 3:
             report.reject("", "wrong-column-count", f"line {line_no}: expected 3 columns, got {len(row)}")
             continue
-        rid, label, cell = row
-        items = cell.split(";") if cell.strip() else []
-        rec = _build_record(rid, label, items, line_no, report)
-        if rec is not None:
-            candidates.append((line_no, rec))
+        builder.add(line_no, *row)
     if header is None:
         report.error("", "bad-header", "empty file: missing header row")
         return None, report
-    return _finalize(candidates, report, strict, vocabulary)
+    return _finalize(builder.candidates, report, strict, vocabulary)
 
 
 def serialize_jsonl(dataset: Dataset) -> str:
     """Render a dataset back to JSONL; parse_jsonl round-trips the result."""
-    lines = [
-        json.dumps(
-            {"id": r.id, "label": r.label, "concepts": list(r.concepts)},
-            ensure_ascii=False,
-        )
-        for r in dataset.records
-    ]
+    lines = [_encode_json({"id": r.id, "label": r.label, "concepts": list(r.concepts)}) for r in dataset.records]
     return "\n".join(lines) + "\n"
 
 

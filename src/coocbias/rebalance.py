@@ -205,18 +205,13 @@ def apply_virtual(dataset: Dataset, plan: GenerationPlan) -> Dataset:
             raise ValueError(f"query references unknown concepts: {sorted(unknown)!r}")
     existing = {r.id for r in dataset.records}
     new: list[AnnotationRecord] = []
-    seq = 1
+    seq = 0
     for query in plan.queries:
+        concepts = tuple(sorted(query.concepts))
         for _ in range(query.count):
+            # Fresh ids increase, so only ids already present can collide.
+            seq += 1
             while f"synthetic-{seq}" in existing:
                 seq += 1
-            rid = f"synthetic-{seq}"
-            existing.add(rid)
-            new.append(
-                AnnotationRecord(
-                    id=rid,
-                    label=query.label,
-                    concepts=tuple(sorted(query.concepts)),
-                )
-            )
+            new.append(AnnotationRecord(id=f"synthetic-{seq}", label=query.label, concepts=concepts))
     return replace(dataset, records=dataset.records + tuple(new))

@@ -26,7 +26,7 @@ from .cliques import (
     frequency_table,
     imbalanced_cliques,
 )
-from .dataset import Dataset
+from .dataset import Dataset, _encode_json
 from .graph import CooccurrenceGraph, build_graph
 from .rebalance import GenerationPlan, RebalanceConfig, rebalance_plan
 
@@ -158,7 +158,7 @@ def plan_jsonl(plan: GenerationPlan) -> str:
         }
         if q.capped:
             obj["capped"] = True
-        lines.append(json.dumps(obj, ensure_ascii=False))
+        lines.append(_encode_json(obj))
     return "\n".join(lines) + "\n" if lines else ""
 
 

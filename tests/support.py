@@ -8,14 +8,19 @@ not tautology.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import random
+import re
+import unicodedata
 from collections import Counter
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from coocbias.dataset import AnnotationRecord, Dataset
+from coocbias.dataset import AnnotationRecord, Dataset, ValidationReport
 
 D4_RECORDS = (
     AnnotationRecord("r1", "A", ("x", "y")),
@@ -148,3 +153,134 @@ def datasets(draw, max_classes: int = 3, max_concepts: int = 6, max_records: int
         )
         records.append(AnnotationRecord(f"r{i}", label, tuple(sorted(picked))))
     return Dataset.from_records(records)
+
+
+def reference_clean(name: str) -> str:
+    return unicodedata.normalize("NFC", name).strip()
+
+
+def reference_parse(data: bytes, fmt: str, strict: bool = True, vocab=None):
+    """Naive per-line parser: each line decoded, each record cleaned on its own.
+
+    Follows the documented JSONL ("jsonl") and CSV ("csv") rules record by
+    record, with no caching and no whole-file decode, and returns the same
+    ``(dataset, report)`` pair as the package parsers.
+    """
+    report = ValidationReport()
+    records = []
+
+    def build(n, rid, label, concepts):
+        rid, label = reference_clean(rid), reference_clean(label)
+        if not rid:
+            report.reject("", "empty-field", f"line {n}: empty id")
+            return
+        if not label:
+            report.reject(rid, "empty-field", f"line {n}: empty label")
+            return
+        names = [reference_clean(c) for c in concepts]
+        if "" in names:
+            report.warn(rid, f"line {n}: empty concept name ignored")
+            names = [c for c in names if c]
+        if len(set(names)) < len(names):
+            report.warn(rid, f"line {n}: duplicate concepts deduplicated")
+        if not names:
+            report.warn(rid, f"line {n}: record has no concepts")
+        records.append((n, AnnotationRecord(rid, label, tuple(sorted(set(names))))))
+
+    if fmt == "jsonl":
+        lines = []
+        for n, raw in enumerate(data.removeprefix(b"\xef\xbb\xbf").split(b"\n"), start=1):
+            try:
+                lines.append((n, raw.removesuffix(b"\r").decode("utf-8")))
+            except UnicodeDecodeError:
+                report.reject("", "encoding", f"line {n}: invalid UTF-8")
+        for n, text in lines:
+            if not text.strip():
+                continue
+            try:
+                obj = json.loads(text)
+            except ValueError as exc:
+                report.reject("", "malformed-line", f"line {n}: invalid JSON: {exc.msg}")
+                continue
+            if not isinstance(obj, dict):
+                report.reject("", "malformed-line", f"line {n}: not a JSON object")
+                continue
+            missing = [k for k in ("id", "label", "concepts") if k not in obj]
+            if missing:
+                report.reject("", "missing-field", f"line {n}: missing fields: {missing!r}")
+                continue
+            rid, label, concepts = obj["id"], obj["label"], obj["concepts"]
+            if not isinstance(rid, str) or not isinstance(label, str):
+                report.reject("", "bad-type", f"line {n}: id and label must be strings")
+                continue
+            if not isinstance(concepts, list) or not all(isinstance(c, str) for c in concepts):
+                report.reject(rid, "bad-type", f"line {n}: concepts must be an array of strings")
+                continue
+            if re.search("[\ud800-\udfff]", "".join([rid, label, *concepts])):
+                report.reject("", "encoding", f"line {n}: name is not valid Unicode (lone surrogate escape)")
+                continue
+            build(n, rid, label, concepts)
+    else:
+        reader = csv.reader(io.StringIO(data.decode("utf-8-sig")))
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            if reader.line_num == 1:
+                assert [cell.strip() for cell in row] == ["id", "label", "concepts"]
+            elif len(row) != 3:
+                report.reject("", "wrong-column-count", f"line {reader.line_num}: expected 3 columns, got {len(row)}")
+            else:
+                build(reader.line_num, row[0], row[1], row[2].split(";") if row[2].strip() else [])
+
+    return reference_finalize(records, report, strict, vocab)
+
+
+def reference_finalize(candidates, report, strict: bool, vocab=None, unit: str = "line"):
+    """Record-by-record validation: duplicate ids, vocabulary, then collisions."""
+    report.records_parsed = len(candidates)
+    first_seen: dict[str, int] = {}
+    kept = []
+    for pos, rec in candidates:
+        if rec.id in first_seen:
+            report.reject(
+                rec.id, "duplicate-id",
+                f"{unit} {pos}: duplicate id {rec.id!r} (first seen on {unit} {first_seen[rec.id]})",
+            )
+        else:
+            first_seen[rec.id] = pos
+            kept.append((pos, rec))
+    if vocab is not None:
+        in_vocab = []
+        for pos, rec in kept:
+            unknown = [c for c in rec.concepts if c not in vocab.concepts]
+            if rec.label not in vocab.classes:
+                report.reject(rec.id, "unknown-class", f"{unit} {pos}: label {rec.label!r} not in vocabulary")
+            elif unknown:
+                report.reject(rec.id, "unknown-concept", f"{unit} {pos}: concepts not in vocabulary: {unknown!r}")
+            else:
+                in_vocab.append((pos, rec))
+        kept = in_vocab
+    first_label: dict[str, tuple[int, str]] = {}
+    for pos, rec in kept:
+        first_label.setdefault(rec.label, (pos, rec.id))
+    survivors = []
+    for pos, rec in kept:
+        hits = [c for c in rec.concepts if c in first_label]
+        if not hits:
+            survivors.append(rec)
+            continue
+        other_pos, other_id = first_label[hits[0]]
+        report.reject(
+            rec.id, "class-concept-collision",
+            f"{unit} {pos}: class/concept collision: {hits[0]!r} is a concept of "
+            f"record {rec.id!r} and the label of record {other_id!r} ({unit} {other_pos})",
+        )
+    if not survivors:
+        report.error("", "no-records", "no records")
+    if (strict and report.errors) or not survivors:
+        return None, report
+    classes = tuple(sorted({r.label for r in survivors}))
+    concepts = tuple(sorted(vocab.concepts if vocab is not None else {c for r in survivors for c in r.concepts}))
+    report.distinct_classes = len(classes)
+    report.distinct_concepts = len(concepts)
+    return Dataset(records=tuple(survivors), classes=classes, concepts=concepts), report

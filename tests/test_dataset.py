@@ -1,5 +1,6 @@
 """Parsing, validation, and normalization."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -19,7 +20,7 @@ from coocbias.dataset import (
     serialize_jsonl,
     vocabulary,
 )
-from support import D4_CSV, D4_JSONL, contains, datasets
+from support import D4_CSV, D4_JSONL, contains, datasets, reference_finalize, reference_parse
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -136,6 +137,31 @@ class TestParseJsonl:
         assert [r.id for r in ds.records] == ["r1", "r3"]
         assert [(e.rule, e.message) for e in rep.errors] == [("encoding", "line 2: invalid UTF-8")]
         assert rep.records_rejected == 1
+
+    def test_line_separators_inside_names_stay_on_their_line(self):
+        # U+2028 and U+0085 end a line for str.splitlines, but not in JSONL.
+        text = "\n".join(
+            json.dumps({"id": rid, "label": "A", "concepts": [name]}, ensure_ascii=False)
+            for rid, name in [("r1", "x\u2028y"), ("r2", "x\x85y"), ("r3", "x")]
+        )
+        ds, rep = parse_jsonl(text.encode("utf-8"))
+        assert rep.ok
+        assert [r.concepts for r in ds.records] == [("x\u2028y",), ("x\x85y",), ("x",)]
+
+    def test_invalid_utf8_line_in_crlf_file(self):
+        lines = [line("r1").encode(), b'{"id":"r2","label":"A","concepts":["\xff"]}', line("r3", "B").encode(), b'{"id": "r4']
+        data = b"\r\n".join(lines) + b"\r\n"
+        errors = [
+            ("encoding", "line 2: invalid UTF-8"),
+            ("malformed-line", "line 4: invalid JSON: Unterminated string starting at"),
+        ]
+        ds, rep = parse_jsonl(data)
+        assert ds is None
+        assert [(e.rule, e.message) for e in rep.errors] == errors
+        ds, rep = parse_jsonl(data, strict=False)
+        assert [r.id for r in ds.records] == ["r1", "r3"]
+        assert [(e.rule, e.message) for e in rep.errors] == errors
+        assert rep.records_rejected == 2
 
     def test_bad_types_rejected(self):
         ds, rep = parse_jsonl('{"id":1,"label":"A","concepts":["x"]}')
@@ -317,6 +343,82 @@ class TestParserFuzz:
             assert isinstance(load_vocabulary(data), Vocabulary)
         except ValueError:
             pass
+
+
+# Names a cache could conflate: padded, NFC and NFD spellings of one name,
+# empty and blank names, and a concept spelled like a label ("cat").
+# Multi-character names, because CPython shares every one-character string.
+LABEL_SPELLINGS = ["cat", " cat", "cat ", "dog", "caf\u00e9", "cafe\u0301", ""]
+CONCEPT_SPELLINGS = ["sky", " sky", "sky ", "sea", "caf\u00e9", "cafe\u0301 ", "", " ", "cat"]
+# A few whole lists, so that lists repeat, some spelled differently.
+CONCEPT_LISTS = [["sky", "sea"], ["sea", "sky"], [" sky", "sea "], ["sky", "sky"], [], [""], ["cafe\u0301 "]]
+REFERENCE_VOCAB = load_vocabulary({"classes": ["cat", "dog"], "concepts": ["sky", "sea", "sun"]})
+ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["r1", "r2", " r3 ", "r\u00e9", ""]) | st.integers(10, 40).map(lambda i: f"r{i}"),
+        st.sampled_from(LABEL_SPELLINGS),
+        st.sampled_from(CONCEPT_LISTS) | st.lists(st.sampled_from(CONCEPT_SPELLINGS), max_size=4),
+    ),
+    max_size=15,
+)
+# Lines that are not records, each rejected by one JSONL rule.
+BAD_JSONL_LINES = [b"{not json", b"[1]", b'{"id":"q","label":"cat"}', b'{"id":"q","label":"cat","concepts":["sky",1]}', b"\xff"]
+
+
+def render_jsonl(rows, bad, eol, ascii_only):
+    lines = [json.dumps({"id": i, "label": l, "concepts": c}, ensure_ascii=ascii_only).encode() for i, l, c in rows]
+    for pos, text in bad:
+        lines.insert(pos % (len(lines) + 1), text)
+    return eol.join(lines) + eol
+
+
+def render_csv(rows, eol):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=eol.decode())
+    writer.writerow(["id", "label", "concepts"])
+    writer.writerows([i, l, ";".join(c)] for i, l, c in rows)
+    return buf.getvalue().encode()
+
+
+class TestReferenceParser:
+    """parse_jsonl, parse_csv and from_records against the naive reference in support.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        ROWS,
+        st.lists(st.tuples(st.integers(0, 15), st.sampled_from(BAD_JSONL_LINES)), max_size=2),
+        st.sampled_from([b"\n", b"\r\n"]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([None, REFERENCE_VOCAB]),
+    )
+    def test_parsers_match_reference(self, rows, bad, eol, ascii_only, strict, vocab):
+        for fmt, data, parse in [
+            ("jsonl", render_jsonl(rows, bad, eol, ascii_only), parse_jsonl),
+            ("csv", render_csv(rows, eol), parse_csv),
+        ]:
+            ds, rep = parse(data, strict=strict, vocabulary=vocab)
+            assert (ds, rep) == reference_parse(data, fmt, strict, vocab)
+            # Records with equal raw lists or labels share one cleaned object.
+            records = ds.records if ds else ()
+            assert len({id(r.concepts) for r in records}) <= len({tuple(c) for _, _, c in rows})
+            assert len({id(r.label) for r in records}) <= len({l for _, l, _ in rows})
+
+    @settings(max_examples=300, deadline=None)
+    @given(ROWS, st.sampled_from([None, REFERENCE_VOCAB]))
+    def test_from_records_matches_reference(self, rows, vocab):
+        records = [AnnotationRecord(i, l, tuple(sorted(set(c)))) for i, l, c in rows]
+        if any(not r.id or not r.label for r in records):
+            with pytest.raises(ValueError, match="empty id or label"):
+                Dataset.from_records(records, vocab)
+            return
+        expected, rep = reference_finalize(list(enumerate(records, start=1)), ValidationReport(), True, vocab, "record")
+        if expected is None:
+            with pytest.raises(ValueError) as exc:
+                Dataset.from_records(records, vocab)
+            assert str(exc.value) == rep.errors[0].message
+        else:
+            assert Dataset.from_records(records, vocab) == expected
 
 
 class TestRecordMasks:
