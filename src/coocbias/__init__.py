@@ -31,7 +31,7 @@ from .dataset import (
     parse_jsonl,
     serialize_jsonl,
 )
-from .graph import CooccurrenceGraph, NodeId, NodeKind, build_graph, to_dot, to_json_graph
+from .graph import CooccurrenceGraph, build_graph, to_dot, to_json_graph
 from .rebalance import (
     GenerationPlan,
     GenerationQuery,
@@ -55,8 +55,6 @@ __all__ = [
     "parse_csv",
     "serialize_jsonl",
     "CooccurrenceGraph",
-    "NodeId",
-    "NodeKind",
     "build_graph",
     "to_dot",
     "to_json_graph",

@@ -45,7 +45,6 @@ __all__ = [
     "parse_jsonl",
     "parse_csv",
     "serialize_jsonl",
-    "vocabulary",
 ]
 
 Source = Union[bytes, str, Path, IO[bytes], IO[str]]
@@ -512,8 +511,3 @@ def serialize_jsonl(dataset: Dataset) -> str:
     """Render a dataset back to JSONL; parse_jsonl round-trips the result."""
     lines = [_encode_json({"id": r.id, "label": r.label, "concepts": list(r.concepts)}) for r in dataset.records]
     return "\n".join(lines) + "\n"
-
-
-def vocabulary(dataset: Dataset) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Return the dataset's (classes, concepts), each in lexicographic order."""
-    return dataset.classes, dataset.concepts

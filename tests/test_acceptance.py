@@ -93,11 +93,8 @@ def test_criterion_2_oracle_equivalence(capsys):
         g = build_graph(ds)
         names = list(ds.classes) + list(ds.concepts)
 
-        def node(name):
-            return g.class_node(name) if name in ds.classes else g.concept_node(name)
-
         for a, b in itertools.combinations(names, 2):
-            if g.weight(node(a), node(b)) != oracle_pair_weight(ds.records, a, b):
+            if g.weight(a, b) != oracle_pair_weight(ds.records, a, b):
                 problems.append(f"seed {seed}: weight({a},{b}) diverged")
 
         from coocbias.cliques import cooccurrence_count

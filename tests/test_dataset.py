@@ -18,7 +18,6 @@ from coocbias.dataset import (
     ValidationReport,
     Vocabulary,
     serialize_jsonl,
-    vocabulary,
 )
 from support import D4_CSV, D4_JSONL, contains, datasets, reference_finalize, reference_parse
 
@@ -473,7 +472,7 @@ class TestDatasetInvariants:
             assert "line" not in str(exc.value)
 
     def test_vocabulary_accessor(self, d4):
-        assert vocabulary(d4) == (("A", "B"), ("x", "y"))
+        assert (d4.classes, d4.concepts) == (("A", "B"), ("x", "y"))
 
     def test_concept_cardinality_64(self):
         # vocabularies of this size parse and report exactly, nothing clipped
@@ -483,7 +482,7 @@ class TestDatasetInvariants:
         ]
         ds = Dataset.from_records(recs)
         assert len(ds.concepts) == 64
-        assert vocabulary(ds)[1] == tuple(sorted(f"c{i:02d}" for i in range(64)))
+        assert ds.concepts == tuple(sorted(f"c{i:02d}" for i in range(64)))
 
 
 class TestRoundTrip:

@@ -5,54 +5,45 @@ from hypothesis import given, settings
 
 from coocbias.cliques import cooccurrence_count
 from coocbias.dataset import AnnotationRecord, Dataset, load_vocabulary, parse_jsonl
-from coocbias.graph import NodeId, NodeKind, build_graph, to_dot, to_json_graph
+from coocbias.graph import build_graph, to_dot, to_json_graph
 from support import D4_RECORDS, d4_dataset, datasets, oracle_count, oracle_pair_weight, random_dataset
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
 
 
-def names_weight(graph, a: str, b: str) -> int:
-    def node(name):
-        if name in graph.classes:
-            return graph.class_node(name)
-        return graph.concept_node(name)
-
-    return graph.weight(node(a), node(b))
-
-
 class TestBuildGraph:
     def test_d4_edge_list(self, d4):
         g = build_graph(d4)
-        assert names_weight(g, "A", "x") == 2
-        assert names_weight(g, "A", "y") == 1
-        assert names_weight(g, "B", "x") == 1
-        assert names_weight(g, "B", "y") == 2
-        assert names_weight(g, "x", "y") == 2
-        assert names_weight(g, "A", "B") == 0
+        assert g.weight("A", "x") == 2
+        assert g.weight("A", "y") == 1
+        assert g.weight("B", "x") == 1
+        assert g.weight("B", "y") == 2
+        assert g.weight("x", "y") == 2
+        assert g.weight("A", "B") == 0
         assert len(g.weights) == 5
 
     def test_single_record(self):
         ds = Dataset.from_records([AnnotationRecord("r1", "A", ("x",))])
         g = build_graph(ds)
         assert len(g.weights) == 1
-        assert names_weight(g, "A", "x") == 1
+        assert g.weight("A", "x") == 1
 
     def test_d4_without_r4(self):
         ds = Dataset.from_records(D4_RECORDS[:3])
         g = build_graph(ds)
-        assert names_weight(g, "B", "x") == 0
-        assert names_weight(g, "x", "y") == 1
+        assert g.weight("B", "x") == 0
+        assert g.weight("x", "y") == 1
 
     def test_no_class_class_edges(self):
         for seed in range(20):
             g = build_graph(random_dataset(seed))
             for a, b in g.weights:
-                assert not (a.kind == NodeKind.CLASS and b.kind == NodeKind.CLASS)
+                assert not (a in g.classes and b in g.classes)
 
     def test_min_support_prunes(self, d4):
         g = build_graph(d4, min_support=2)
-        assert names_weight(g, "A", "x") == 2
-        assert names_weight(g, "A", "y") == 0  # weight 1 pruned
+        assert g.weight("A", "x") == 2
+        assert g.weight("A", "y") == 0  # weight 1 pruned
         assert len(g.weights) == 3
 
     def test_min_support_validation(self, d4):
@@ -71,26 +62,24 @@ class TestBuildGraph:
 class TestAccessors:
     def test_weight_symmetric(self, d4):
         g = build_graph(d4)
-        a, x = g.class_node("A"), g.concept_node("x")
-        assert g.weight(a, x) == g.weight(x, a) == 2
+        assert g.weight("A", "x") == g.weight("x", "A") == 2
 
     def test_self_pair_rejected(self, d4):
         g = build_graph(d4)
         with pytest.raises(ValueError, match="self-pair"):
-            g.weight(g.concept_node("x"), g.concept_node("x"))
+            g.weight("x", "x")
 
     def test_unknown_node_rejected(self, d4):
         g = build_graph(d4)
-        bad = NodeId(NodeKind.CONCEPT, 99)
-        with pytest.raises(ValueError, match="unknown node"):
-            g.weight(bad, g.class_node("A"))
-        with pytest.raises(ValueError, match="unknown node"):
-            g.neighbors(bad)
+        with pytest.raises(ValueError, match="unknown node: 'q'"):
+            g.weight("q", "A")
+        with pytest.raises(ValueError, match="unknown node: 'q'"):
+            g.neighbors("q")
 
     def test_neighbors_d4(self, d4):
         g = build_graph(d4)
-        assert [g.name(n) for n in g.neighbors(g.class_node("A"))] == ["x", "y"]
-        assert [g.name(n) for n in g.neighbors(g.concept_node("x"))] == ["A", "B", "y"]
+        assert g.neighbors("A") == ("x", "y")
+        assert g.neighbors("x") == ("A", "B", "y")
 
     def test_isolated_vocabulary_concept_has_no_neighbors(self):
         vocab = load_vocabulary({"classes": ["A", "B"], "concepts": ["x", "z"]})
@@ -101,15 +90,15 @@ class TestAccessors:
         )
         assert rep.ok
         g = build_graph(ds)
-        assert g.neighbors(g.concept_node("z")) == ()
-        assert g.degree(g.concept_node("z")) == 0
+        assert g.neighbors("z") == ()
+        assert g.degree("z") == 0
 
     def test_adjacency_sorted_classes_before_concepts(self):
         for seed in range(10):
             g = build_graph(random_dataset(seed))
             for node in g.nodes():
                 nbrs = g.neighbors(node)
-                assert list(nbrs) == sorted(nbrs)
+                assert list(nbrs) == sorted(nbrs, key=g.nodes().index)
 
     def test_fingerprint_stable_and_sensitive(self, d4):
         # a graph is a value: equality stands in for a fingerprint
@@ -128,7 +117,7 @@ class TestOracleEquivalence:
             names = list(ds.classes) + list(ds.concepts)
             for i, a in enumerate(names):
                 for b in names[i + 1 :]:
-                    assert names_weight(g, a, b) == oracle_pair_weight(ds.records, a, b), (
+                    assert g.weight(a, b) == oracle_pair_weight(ds.records, a, b), (
                         seed,
                         a,
                         b,
@@ -141,7 +130,7 @@ class TestOracleEquivalence:
         names = list(ds.classes) + list(ds.concepts)
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
-                assert names_weight(g, a, b) == oracle_pair_weight(ds.records, a, b)
+                assert g.weight(a, b) == oracle_pair_weight(ds.records, a, b)
 
     @PROPERTY_SETTINGS
     @given(datasets())
@@ -153,7 +142,7 @@ class TestOracleEquivalence:
                 1 for r in ds.records if r.label == name or name in r.concepts
             )
         for (a, b), w in g.weights.items():
-            assert 1 <= w <= min(occurrences[g.name(a)], occurrences[g.name(b)]) <= ds.n
+            assert 1 <= w <= min(occurrences[a], occurrences[b]) <= ds.n
 
 
 class TestGeneralizedCounts:
@@ -165,7 +154,7 @@ class TestGeneralizedCounts:
         g = build_graph(d4)
         for y in d4.classes:
             for c in d4.concepts:
-                assert cooccurrence_count(d4, y, (c,)) == names_weight(g, y, c)
+                assert cooccurrence_count(d4, y, (c,)) == g.weight(y, c)
 
     def test_unknown_names_rejected(self, d4):
         with pytest.raises(ValueError, match="unknown concepts"):
@@ -235,6 +224,31 @@ class TestExports:
         )
         dot = to_dot(build_graph(ds))
         assert '"say \\"hi\\""' in dot
+
+    def test_edges_export_in_node_order_not_name_order(self):
+        # class "zebra" sorts after both concepts, yet its edges come first
+        ds = Dataset.from_records(
+            [
+                AnnotationRecord("r1", "zebra", ("apple", "mango")),
+                AnnotationRecord("r2", "zebra", ("mango",)),
+            ]
+        )
+        g = build_graph(ds)
+        assert to_dot(g) == (
+            "graph cooccurrence {\n"
+            '  "zebra" [kind=class];\n'
+            '  "apple" [kind=concept];\n'
+            '  "mango" [kind=concept];\n'
+            '  "zebra" -- "apple" [weight=1];\n'
+            '  "zebra" -- "mango" [weight=2];\n'
+            '  "apple" -- "mango" [weight=1];\n'
+            "}\n"
+        )
+        assert to_json_graph(g)["edges"] == [
+            {"a": "zebra", "b": "apple", "w": 1},
+            {"a": "zebra", "b": "mango", "w": 2},
+            {"a": "apple", "b": "mango", "w": 1},
+        ]
 
     def test_empty_concept_dataset_exports_nodes_only(self):
         ds = Dataset.from_records(
