@@ -5,83 +5,24 @@ image, the package builds a weighted co-occurrence graph over classes and
 concepts, enumerates the concept cliques every class shares, measures how
 unevenly each clique is covered across classes, and plans the synthetic
 records (as text-to-image generation queries) that would even things out.
+
+Every name a library module lists in its ``__all__`` is re-exported here.
 """
 
 __version__ = "0.1.0"
 
-from .cliques import (
-    ClassCliqueSet,
-    Clique,
-    CliqueFrequencyTable,
-    ImbalanceEntry,
-    Provenance,
-    common_clique_set,
-    cooccurrence_count,
-    enumerate_class_cliques,
-    frequency_table,
-    imbalanced_cliques,
-)
-from .dataset import (
-    AnnotationRecord,
-    Dataset,
-    ValidationReport,
-    Vocabulary,
-    load_vocabulary,
-    parse_csv,
-    parse_jsonl,
-    serialize_jsonl,
-)
-from .graph import CooccurrenceGraph, build_graph, to_dot, to_json_graph
-from .rebalance import (
-    GenerationPlan,
-    GenerationQuery,
-    PromptTemplate,
-    RebalanceConfig,
-    apply_virtual,
-    rebalance_plan,
-    render_prompt,
-)
-from .report import Diagnosis, DiagnosisConfig, canonical_json, diagnose, plan_jsonl, report_dict
-from .synth import BiasSpec, SplitMix64, generate
+from . import cliques, dataset, graph, rebalance, report, synth
+from .cliques import *
+from .dataset import *
+from .graph import *
+from .rebalance import *
+from .report import *
+from .synth import *
 
-__all__ = [
-    "__version__",
-    "AnnotationRecord",
-    "Dataset",
-    "ValidationReport",
-    "Vocabulary",
-    "load_vocabulary",
-    "parse_jsonl",
-    "parse_csv",
-    "serialize_jsonl",
-    "CooccurrenceGraph",
-    "build_graph",
-    "to_dot",
-    "to_json_graph",
-    "Clique",
-    "ClassCliqueSet",
-    "CliqueFrequencyTable",
-    "ImbalanceEntry",
-    "Provenance",
-    "enumerate_class_cliques",
-    "common_clique_set",
-    "frequency_table",
-    "cooccurrence_count",
-    "imbalanced_cliques",
-    "PromptTemplate",
-    "GenerationQuery",
-    "GenerationPlan",
-    "RebalanceConfig",
-    "render_prompt",
-    "rebalance_plan",
-    "apply_virtual",
-    "Diagnosis",
-    "DiagnosisConfig",
-    "diagnose",
-    "report_dict",
-    "canonical_json",
-    "plan_jsonl",
-    "BiasSpec",
-    "SplitMix64",
-    "generate",
-]
+__all__ = ["__version__"]
+__all__ += cliques.__all__
+__all__ += dataset.__all__
+__all__ += graph.__all__
+__all__ += rebalance.__all__
+__all__ += report.__all__
+__all__ += synth.__all__

@@ -44,13 +44,16 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
+_ERROR_CODES = {EXIT_VALIDATION: "validation", EXIT_IO: "io"}
+
+
 class CliError(Exception):
     """Carries the exit code and a machine-friendly error payload."""
 
-    def __init__(self, exit_code: int, code: str, message: str, details: list | None = None):
+    def __init__(self, exit_code: int, message: str, details: list[dict] | None = None):
         super().__init__(message)
         self.exit_code = exit_code
-        self.code = code
+        self.code = _ERROR_CODES[exit_code]
         self.details = details or []
 
 
@@ -61,11 +64,7 @@ def _emit_error(err: CliError, json_errors: bool) -> None:
         return
     print(f"error: {err}", file=sys.stderr)
     for d in err.details:
-        if isinstance(d, dict):
-            rid = d.get("record_id") or "-"
-            print(f"  [{d.get('rule', '?')}] {rid}: {d.get('message', '')}", file=sys.stderr)
-        else:
-            print(f"  {d}", file=sys.stderr)
+        print(f"  [{d['rule']}] {d['record_id'] or '-'}: {d['message']}", file=sys.stderr)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -74,7 +73,7 @@ def _read_bytes(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise CliError(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -84,7 +83,7 @@ def _write_output(path: str | None, text: str) -> None:
     try:
         write_text(Path(path), text)
     except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise CliError(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @contextmanager
@@ -93,7 +92,7 @@ def _validation(prefix: str = ""):
     try:
         yield
     except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, "validation", f"{prefix}{exc}") from exc
+        raise CliError(EXIT_VALIDATION, f"{prefix}{exc}") from exc
 
 
 def _load_vocab(path: str | None) -> Vocabulary | None:
@@ -124,7 +123,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
             for e in report.errors
         ]
         first = report.errors[0].message if report.errors else "no records"
-        raise CliError(EXIT_VALIDATION, "validation", first, details)
+        raise CliError(EXIT_VALIDATION, first, details)
     return dataset, sha256_hex(raw)
 
 
@@ -180,13 +179,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     raw = _read_bytes(args.spec)
     try:
         obj = json.loads(raw.decode("utf-8-sig"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CliError(EXIT_VALIDATION, "validation", f"spec file is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge integers, deep nesting
+        raise CliError(EXIT_VALIDATION, f"spec file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise CliError(EXIT_VALIDATION, "validation", "spec file: expected a JSON object")
+        raise CliError(EXIT_VALIDATION, "spec file: expected a JSON object")
 
     def fail(field: str, message: str) -> CliError:
-        return CliError(EXIT_VALIDATION, "validation", f"spec.{field}: {message}")
+        return CliError(EXIT_VALIDATION, f"spec.{field}: {message}")
 
     groups_raw = obj.get("concept_groups")
     if not isinstance(groups_raw, dict) or not groups_raw:

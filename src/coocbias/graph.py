@@ -16,6 +16,7 @@ positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dataset import Dataset
 
@@ -47,11 +48,16 @@ class CooccurrenceGraph:
     def nodes(self) -> tuple[str, ...]:
         return self.classes + self.concepts
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Name -> index in ``nodes()``, built on the first name lookup."""
+        return {name: p for p, name in enumerate(self.nodes())}
+
     def _position(self, name: str) -> int:
         """Index of name in ``nodes()``; ValueError for a name not in the graph."""
         try:
-            return self.nodes().index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise ValueError(f"unknown node: {name!r}") from None
 
     def weight(self, a: str, b: str) -> int:

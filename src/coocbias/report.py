@@ -102,15 +102,13 @@ def report_dict(diagnosis: Diagnosis, dataset: Dataset, input_digest: str) -> di
     concepts, per_class, max, deficits.
     """
     cfg = diagnosis.config
-    common = {
-        str(k): [list(q) for q in cliques] for k, cliques in sorted(diagnosis.common.items())
-    }
+    common = {str(k): [list(q) for q in cliques] for k, cliques in diagnosis.common.items()}
     imbalances = [
         {
             "concepts": list(e.concepts),
-            "per_class": dict(sorted(e.per_class.items())),
+            "per_class": dict(e.per_class),
             "max": e.max_count,
-            "deficits": dict(sorted(e.deficits.items())),
+            "deficits": dict(e.deficits),
         }
         for e in diagnosis.imbalances
     ]

@@ -295,6 +295,20 @@ class TestSynth:
         assert main(["synth", str(path)]) == 1
         assert "classes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, raw",
+        [("rho", "9" * 5001), ("concept_groups", "[" * 100_000 + "]" * 100_000)],
+        ids=["integer-over-digit-limit", "nested-too-deep"],
+    )
+    def test_hostile_spec_is_not_valid_json(self, tmp_path, capsys, field, raw):
+        text = json.dumps(dict(SPEC, **{field: "HOSTILE"})).replace('"HOSTILE"', raw)
+        path = tmp_path / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["synth", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec file is not valid JSON: ")
+        assert "Traceback" not in err
+
 
 class TestStats:
     def test_d4(self, d4_jsonl, capsys):
