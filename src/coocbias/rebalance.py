@@ -134,6 +134,7 @@ def rebalance_plan(
         raise ValueError("already balanced: the table's counts include planned records")
 
     adjusted = table.copy()
+    cap = config.per_query_cap
     queries: list[GenerationQuery] = []
     truncated = False
     levels = sorted(adjusted.counts, reverse=True)
@@ -141,33 +142,34 @@ def rebalance_plan(
         for q in sorted(adjusted.counts[k]):
             per = adjusted.counts[k][q]
             m = max(per.values(), default=0)
-            for label in sorted(per):
-                need = m - per[label]
-                if need <= 0:
-                    continue
-                capped = config.per_query_cap is not None and need > config.per_query_cap
-                count = config.per_query_cap if capped else need
+            short = [(label, m - per[label]) for label in sorted(per) if per[label] < m]
+            if not short:
+                continue
+            # The prompt names only the concepts, so one serves every class.
+            prompt = render_prompt(config.template, short[0][0], q)
+            # A planned record holds every concept of q, so each proper
+            # subset present at a lower level gains the same records.
+            subsets = []
+            for size in range(1, k):
+                lower = adjusted.counts.get(size, {})
+                subsets += [lower[sub] for sub in itertools.combinations(q, size) if sub in lower]
+            for label, need in short:
+                capped = cap is not None and need > cap
+                count = cap if capped else need
                 truncated = truncated or capped
                 queries.append(
                     GenerationQuery(
                         label=label,
                         concepts=q,
                         count=count,
-                        prompt=render_prompt(config.template, label, q),
+                        prompt=prompt,
                         clip_threshold=config.clip_threshold,
                         capped=capped,
                     )
                 )
                 per[label] += count
-                # A planned record holds every concept of q, so each proper
-                # subset present at a lower level gains the same records.
-                for size in range(1, k):
-                    lower = adjusted.counts.get(size)
-                    if not lower:
-                        continue
-                    for sub in itertools.combinations(q, size):
-                        if sub in lower:
-                            lower[sub][label] += count
+                for sub_per in subsets:
+                    sub_per[label] += count
 
     adjusted.provenance = Provenance.ADJUSTED
     per_class: dict[str, int] = {}

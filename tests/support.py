@@ -3,13 +3,16 @@
 The oracles here deliberately reimplement the counting definitions by direct
 per-record scans and exhaustive subset checks. They share no code with the
 package beyond the record type, so agreement between the two is evidence,
-not tautology.
+not tautology. ``reference_plan`` is the exception: it is the earlier
+per-query planner, kept as the judge of ``rebalance_plan`` and built from the
+package's own query and plan types.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -20,7 +23,14 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from coocbias.cliques import CliqueFrequencyTable, Provenance
 from coocbias.dataset import AnnotationRecord, Dataset, ValidationReport
+from coocbias.rebalance import (
+    GenerationPlan,
+    GenerationQuery,
+    RebalanceConfig,
+    render_prompt,
+)
 
 D4_RECORDS = (
     AnnotationRecord("r1", "A", ("x", "y")),
@@ -284,3 +294,72 @@ def reference_finalize(candidates, report, strict: bool, vocab=None, unit: str =
     report.distinct_classes = len(classes)
     report.distinct_concepts = len(concepts)
     return Dataset(records=tuple(survivors), classes=classes, concepts=concepts), report
+
+
+# Reference planner: renders the prompt and looks up the lower-level subsets
+# again for every query, the direct reading of the planning rule.
+def reference_plan(
+    table: CliqueFrequencyTable, config: RebalanceConfig = RebalanceConfig()
+) -> tuple[GenerationPlan, CliqueFrequencyTable]:
+    """Plan the synthetic records that even out every clique's class counts.
+
+    Returns the plan and the adjusted table (original + planned counts,
+    provenance ADJUSTED). The input table must be ORIGINAL and is not
+    modified. A second pass over the adjusted counts would find every clique
+    balanced, so re-planning yields nothing; the cap, when hit, breaks that
+    guarantee and is flagged on the query and the plan.
+    """
+    if table.provenance is Provenance.ADJUSTED:
+        raise ValueError("already balanced: the table's counts include planned records")
+
+    adjusted = table.copy()
+    queries: list[GenerationQuery] = []
+    truncated = False
+    levels = sorted(adjusted.counts, reverse=True)
+    for k in levels:
+        for q in sorted(adjusted.counts[k]):
+            per = adjusted.counts[k][q]
+            m = max(per.values(), default=0)
+            for label in sorted(per):
+                need = m - per[label]
+                if need <= 0:
+                    continue
+                capped = config.per_query_cap is not None and need > config.per_query_cap
+                count = config.per_query_cap if capped else need
+                truncated = truncated or capped
+                queries.append(
+                    GenerationQuery(
+                        label=label,
+                        concepts=q,
+                        count=count,
+                        prompt=render_prompt(config.template, label, q),
+                        clip_threshold=config.clip_threshold,
+                        capped=capped,
+                    )
+                )
+                per[label] += count
+                # A planned record holds every concept of q, so each proper
+                # subset present at a lower level gains the same records.
+                for size in range(1, k):
+                    lower = adjusted.counts.get(size)
+                    if not lower:
+                        continue
+                    for sub in itertools.combinations(q, size):
+                        if sub in lower:
+                            lower[sub][label] += count
+
+    adjusted.provenance = Provenance.ADJUSTED
+    per_class: dict[str, int] = {}
+    per_level: dict[int, int] = {}
+    for query in queries:
+        per_class[query.label] = per_class.get(query.label, 0) + query.count
+        size = len(query.concepts)
+        per_level[size] = per_level.get(size, 0) + query.count
+    plan = GenerationPlan(
+        queries=tuple(queries),
+        total_count=sum(query.count for query in queries),
+        truncated=truncated,
+        per_class=per_class,
+        per_level=per_level,
+    )
+    return plan, adjusted

@@ -21,7 +21,7 @@ from coocbias.rebalance import (
     rebalance_plan,
     render_prompt,
 )
-from support import datasets, random_dataset
+from support import datasets, random_dataset, reference_plan
 
 PROPERTY_SETTINGS = settings(max_examples=75, deadline=None)
 
@@ -282,6 +282,20 @@ class TestPlanProperties:
         for level in adjusted.counts.values():
             for per in level.values():
                 assert len(set(per.values())) == 1
+
+
+class TestAgainstReferencePlan:
+    @pytest.mark.parametrize("relax", [None, 0.5], ids=["strict", "relax-0.5"])
+    @pytest.mark.parametrize("cap", [None, 1, 3], ids=["no-cap", "cap-1", "cap-3"])
+    @PROPERTY_SETTINGS
+    @given(ds=datasets())
+    def test_plan_and_adjusted_table_match(self, ds, cap, relax):
+        g = build_graph(ds)
+        per = [enumerate_class_cliques(g, y, 4) for y in ds.classes]
+        table = frequency_table(ds, common_clique_set(per, relax_fraction=relax))
+        for template in PromptTemplate:
+            config = RebalanceConfig(template=template, per_query_cap=cap)
+            assert rebalance_plan(table, config) == reference_plan(table, config)
 
 
 class TestApplyVirtual:
