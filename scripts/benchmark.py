@@ -2,8 +2,10 @@
 """Wall-clock scaling of the diagnosis pipeline.
 
 Sweeps record count and clique-size cap on synthetic datasets and prints a
-small table of timings. Clique enumeration grows combinatorially with k_max
-and concept connectivity, so the cap dominates beyond small values.
+small table of timings: ``gen s`` is the time ``generate`` took to build the
+row's dataset, ``seconds`` the time ``diagnose`` took on it. Clique
+enumeration grows combinatorially with k_max and concept connectivity, so the
+cap dominates beyond small values.
 
     python scripts/benchmark.py --records 1000 10000 --k-max 2 3 4
 """
@@ -39,15 +41,19 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
 
-    print(f"{'records':>8} {'k_max':>6} {'cliques':>8} {'queries':>8} {'seconds':>8}")
+    print(f"{'records':>8} {'k_max':>6} {'cliques':>8} {'queries':>8} {'gen s':>8} {'seconds':>8}")
     for n in args.records:
+        started = time.perf_counter()
         ds = build_dataset(n, args.classes, args.concepts, args.seed)
+        generated = time.perf_counter() - started
         for k in args.k_max:
             started = time.perf_counter()
             result = diagnose(ds, DiagnosisConfig(k_max=k))
             elapsed = time.perf_counter() - started
             n_cliques = sum(len(v) for v in result.common.values())
-            print(f"{ds.n:>8} {k:>6} {n_cliques:>8} {len(result.plan.queries):>8} {elapsed:>8.2f}")
+            print(
+                f"{ds.n:>8} {k:>6} {n_cliques:>8} {len(result.plan.queries):>8} {generated:>8.2f} {elapsed:>8.2f}"
+            )
 
 
 if __name__ == "__main__":

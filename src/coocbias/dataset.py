@@ -31,6 +31,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Callable, Iterable, Union
 
@@ -53,9 +54,6 @@ CSV_HEADER = ("id", "label", "concepts")
 
 # A lone surrogate cannot be encoded for output; only a JSON \u escape makes one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
-
-# One shared encoder: json.dumps builds a new one per call when given ensure_ascii.
-_encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _clean(name: str) -> str:
@@ -508,6 +506,21 @@ def parse_csv(
 
 
 def serialize_jsonl(dataset: Dataset) -> str:
-    """Render a dataset back to JSONL; parse_jsonl round-trips the result."""
-    lines = [_encode_json({"id": r.id, "label": r.label, "concepts": list(r.concepts)}) for r in dataset.records]
+    """Render a dataset back to JSONL; parse_jsonl round-trips the result.
+
+    Each line is the text ``json.dumps(..., ensure_ascii=False)`` writes for
+    ``{"id", "label", "concepts"}``, written directly with json's C string
+    escaper; each label and each distinct concept tuple is encoded once.
+    """
+    labels: dict[str, str] = {}
+    lists: dict[tuple[str, ...], str] = {}
+    lines = []
+    for r in dataset.records:
+        label = labels.get(r.label)
+        if label is None:
+            label = labels[r.label] = encode_basestring(r.label)
+        concepts = lists.get(r.concepts)
+        if concepts is None:
+            concepts = lists[r.concepts] = "[" + ", ".join(map(encode_basestring, r.concepts)) + "]"
+        lines.append(f'{{"id": {encode_basestring(r.id)}, "label": {label}, "concepts": {concepts}}}')
     return "\n".join(lines) + "\n"

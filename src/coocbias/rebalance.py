@@ -205,15 +205,19 @@ def apply_virtual(dataset: Dataset, plan: GenerationPlan) -> Dataset:
         unknown = set(query.concepts) - concepts
         if unknown:
             raise ValueError(f"query references unknown concepts: {sorted(unknown)!r}")
-    existing = {r.id for r in dataset.records}
+    # Only an id with the "synthetic-" prefix can collide with a fresh one.
+    existing = {r.id for r in dataset.records if r.id.startswith("synthetic-")}
     new: list[AnnotationRecord] = []
     seq = 0
     for query in plan.queries:
+        label = query.label
         concepts = tuple(sorted(query.concepts))
         for _ in range(query.count):
             # Fresh ids increase, so only ids already present can collide.
             seq += 1
-            while f"synthetic-{seq}" in existing:
+            rid = f"synthetic-{seq}"
+            while rid in existing:
                 seq += 1
-            new.append(AnnotationRecord(id=f"synthetic-{seq}", label=query.label, concepts=concepts))
+                rid = f"synthetic-{seq}"
+            new.append(AnnotationRecord(rid, label, concepts))
     return replace(dataset, records=dataset.records + tuple(new))

@@ -39,7 +39,7 @@ from .cliques import (
     frequency_table,
     imbalanced_cliques,
 )
-from .dataset import Dataset, _encode_json
+from .dataset import Dataset
 from .graph import CooccurrenceGraph, build_graph
 from .rebalance import GenerationPlan, RebalanceConfig, rebalance_plan
 
@@ -224,19 +224,21 @@ def _key(key) -> str:
 
 
 def plan_jsonl(plan: GenerationPlan) -> str:
-    """One JSON object per query, plan order, stable field order."""
+    """One JSON object per query, plan order, stable field order.
+
+    Each line is the text ``json.dumps(..., ensure_ascii=False)`` writes for
+    the query's fields, written directly: strings through json's C escaper,
+    ``count`` and ``clip_threshold`` through the scalar text of ``_text``.
+    """
     lines = []
     for q in plan.queries:
-        obj = {
-            "class": q.label,
-            "concepts": list(q.concepts),
-            "count": q.count,
-            "prompt": q.prompt,
-            "clip_threshold": q.clip_threshold,
-        }
-        if q.capped:
-            obj["capped"] = True
-        lines.append(_encode_json(obj))
+        concepts = ", ".join(map(encode_basestring, q.concepts))
+        line = (
+            f'{{"class": {encode_basestring(q.label)}, "concepts": [{concepts}], '
+            f'"count": {_text(q.count, "")}, "prompt": {encode_basestring(q.prompt)}, '
+            f'"clip_threshold": {_text(q.clip_threshold, "")}'
+        )
+        lines.append(line + ', "capped": true}' if q.capped else line + "}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -5,7 +5,9 @@ per-record scans and exhaustive subset checks. They share no code with the
 package beyond the record type, so agreement between the two is evidence,
 not tautology. ``reference_plan`` is the exception: it is the earlier
 per-query planner, kept as the judge of ``rebalance_plan`` and built from the
-package's own query and plan types.
+package's own query and plan types. The synthetic generator and the JSONL
+writers likewise keep their earlier one-draw-at-a-time and ``json``-encoder
+versions here, as judges of the batched generator and the direct writers.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from coocbias.rebalance import (
     RebalanceConfig,
     render_prompt,
 )
+from coocbias.synth import BiasSpec
 
 D4_RECORDS = (
     AnnotationRecord("r1", "A", ("x", "y")),
@@ -363,3 +366,108 @@ def reference_plan(
         per_level=per_level,
     )
     return plan, adjusted
+
+
+# Reference generator and writers: the one-draw-at-a-time SplitMix64 and the
+# json-encoder writers that the batched generator and direct writers replaced.
+_MASK = (1 << 64) - 1
+
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
+class ReferenceSplitMix64:
+    """Minimal 64-bit mixing RNG (public-domain constants).
+
+    State advances by the golden-ratio increment; output runs through two
+    xor-shift-multiply rounds. Tiny state, full 2^64 period, and completely
+    reproducible across platforms, which is all the generator needs.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _MASK
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        """Uniform float in [0, 1) from the top 53 bits."""
+        return (self.next_u64() >> 11) * (2.0**-53)
+
+    def randrange(self, n: int) -> int:
+        """Uniform int in [0, n) by rejection, no modulo bias."""
+        if n <= 0:
+            raise ValueError(f"randrange needs n >= 1, got {n}")
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    def sample(self, items: list[str], k: int) -> list[str]:
+        """k distinct items, partial Fisher-Yates over a copy."""
+        if k > len(items):
+            raise ValueError(f"sample size {k} exceeds population {len(items)}")
+        pool = list(items)
+        for i in range(k):
+            j = i + self.randrange(len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
+
+def reference_generate(spec: BiasSpec, seed: int) -> Dataset:
+    """Produce the dataset a BiasSpec describes, deterministically from seed.
+
+    Records are emitted class by class (classes in sorted order), ids
+    "<label>-<i>" with i counting from 0. Per record the generator draws, in
+    a fixed order: the bias coin, the cross-group pick when the coin says so,
+    the record size, then the concept sample. Fixed order keeps one stream of
+    randomness reproducible regardless of outcome.
+    """
+    rng = ReferenceSplitMix64(seed)
+    labels = sorted(spec.groups)
+    lo, hi = spec.concepts_per_record
+    records: list[AnnotationRecord] = []
+    for label in labels:
+        own = list(spec.groups[label])
+        other_labels = [y for y in labels if y != label]
+        for i in range(spec.per_class_n):
+            tied = rng.random() < spec.rho
+            pick = rng.randrange(len(other_labels))
+            size = lo + rng.randrange(hi - lo + 1)
+            pool = own if tied else list(spec.groups[other_labels[pick]])
+            concepts = rng.sample(pool, min(size, len(pool)))
+            records.append(
+                AnnotationRecord(
+                    id=f"{label}-{i}",
+                    label=label,
+                    concepts=tuple(sorted(concepts)),
+                )
+            )
+    return Dataset.from_records(records)
+
+
+def reference_serialize_jsonl(dataset: Dataset) -> str:
+    """Render a dataset back to JSONL; parse_jsonl round-trips the result."""
+    lines = [_encode_json({"id": r.id, "label": r.label, "concepts": list(r.concepts)}) for r in dataset.records]
+    return "\n".join(lines) + "\n"
+
+
+def reference_plan_jsonl(plan: GenerationPlan) -> str:
+    """One JSON object per query, plan order, stable field order."""
+    lines = []
+    for q in plan.queries:
+        obj = {
+            "class": q.label,
+            "concepts": list(q.concepts),
+            "count": q.count,
+            "prompt": q.prompt,
+            "clip_threshold": q.clip_threshold,
+        }
+        if q.capped:
+            obj["capped"] = True
+        lines.append(_encode_json(obj))
+    return "\n".join(lines) + "\n" if lines else ""

@@ -369,3 +369,27 @@ class TestApplyVirtual:
                 for q in cliques:
                     counts = {y: cooccurrence_count(ds2, y, q) for y in ds.classes}
                     assert len(set(counts.values())) == 1, (seed, q, counts)
+
+
+class TestApplyVirtualIds:
+    def test_ids_skip_existing_synthetic_ids(self):
+        ds = Dataset.from_records(
+            [
+                AnnotationRecord("synthetic-1", "A", ("x",)),
+                AnnotationRecord("synthetic-3", "B", ("y",)),
+                AnnotationRecord("r3", "B", ("x",)),
+            ]
+        )
+        table = CliqueFrequencyTable(
+            classes=("A", "B"),
+            counts={1: {("x",): {"A": 1, "B": 4}, ("y",): {"A": 0, "B": 2}}},
+        )
+        plan, _ = rebalance_plan(table)
+        grown = apply_virtual(ds, plan)
+        assert [(r.id, r.label, r.concepts) for r in grown.records[ds.n :]] == [
+            ("synthetic-2", "A", ("x",)),
+            ("synthetic-4", "A", ("x",)),
+            ("synthetic-5", "A", ("x",)),
+            ("synthetic-6", "A", ("y",)),
+            ("synthetic-7", "A", ("y",)),
+        ]

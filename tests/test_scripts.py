@@ -22,3 +22,4 @@ def test_scripts_run():
     assert demo.stdout.strip().splitlines()[-1].endswith("imbalanced cliques: 0")
     bench = run_script("benchmark.py", "--records", "400", "--k-max", "2")
     assert bench.returncode == 0, bench.stderr
+    assert "gen s" in bench.stdout.splitlines()[0]

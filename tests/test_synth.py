@@ -1,11 +1,14 @@
 """Deterministic synthetic generator and its RNG."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coocbias.dataset import parse_jsonl, serialize_jsonl
 from coocbias.synth import BiasSpec, SplitMix64, generate
+from support import ReferenceSplitMix64, reference_generate, reference_serialize_jsonl
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -190,3 +193,109 @@ class TestGenerate:
         total = sum(tallies.values())
         assert total > 800  # about 40% of 3000
         assert abs(tallies["b"] - tallies["c"]) < total * 0.2
+
+
+# A batch is 512 outputs; the stream tests cross at least three boundaries.
+BATCH = 512
+seeds = st.integers(-(2**70), 2**70) | st.sampled_from([0, 2**64 - 1, 2**64, 2**64 + 5, -1])
+
+README_SPEC = BiasSpec(
+    groups={
+        "landbird": ("tree", "forest", "grass", "bamboo", "field"),
+        "waterbird": ("ocean", "beach", "lake", "boat", "dock"),
+    },
+    rho=0.95,
+    per_class_n=1000,
+    concepts_per_record=(1, 3),
+)
+
+# sha256 of serialize_jsonl(generate(README_SPEC, 7)) from the one-draw-at-a-time
+# generator and the json-encoder writer, before batching.
+README_SPEC_SEED_7_SHA256 = "855fda74a414b05dab54f76a6dc1a1ee46cfa91731bc27c98052cc204f1d4de0"
+
+names = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", " ", "\U0001F600", "\ud800", "a", "é"])
+    | st.characters(),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def bias_specs(draw):
+    n_classes = draw(st.integers(2, 4))
+    pool = draw(st.lists(names, min_size=n_classes + n_classes, max_size=n_classes * 6, unique=True))
+    labels, concepts = pool[:n_classes], pool[n_classes:]
+    cuts = sorted(draw(st.lists(st.integers(1, len(concepts) - 1), min_size=n_classes - 1, max_size=n_classes - 1, unique=True)))
+    bounds = [0, *cuts, len(concepts)]
+    groups = {y: tuple(concepts[a:b]) for y, a, b in zip(labels, bounds, bounds[1:])}
+    smallest = min(len(g) for g in groups.values())
+    hi = draw(st.integers(1, smallest))
+    lo = draw(st.integers(1, hi))
+    return BiasSpec(
+        groups=groups,
+        rho=draw(st.floats(0.5, 1.0, exclude_min=True)),
+        per_class_n=draw(st.integers(1, 40)),
+        concepts_per_record=(lo, hi),
+    )
+
+
+# One call on the RNG: ("skip", n) draws n raw outputs; the rest name a method.
+calls = st.one_of(
+    st.tuples(st.just("skip"), st.integers(0, 3 * BATCH)),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("randrange"), st.integers(-2, 8) | st.integers(1, 2**64)),
+    st.tuples(
+        st.just("sample"),
+        st.lists(st.text(max_size=2), max_size=8),
+        st.integers(0, 9),
+    ),
+)
+
+
+def play(rng, call):
+    """Result of one call, or the exception type it raised."""
+    try:
+        if call[0] == "skip":
+            return [rng.next_u64() for _ in range(call[1])]
+        if call[0] == "random":
+            return rng.random()
+        if call[0] == "randrange":
+            return rng.randrange(call[1])
+        return rng.sample(list(call[1]), call[2])
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestBatchedStream:
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.integers(3 * BATCH + 1, 4 * BATCH + 7))
+    def test_stream_matches_reference_across_batches(self, seed, n):
+        rng = SplitMix64(seed)
+        assert [rng.next_u64() for _ in range(n)] == reference_splitmix64(seed, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds, st.lists(calls, max_size=40))
+    def test_interleaved_calls_match_reference_class(self, seed, script):
+        ours, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        for call in script:
+            assert play(ours, call) == play(ref, call), call
+        assert ours.next_u64() == ref.next_u64()
+
+    def test_instances_do_not_share_a_stream(self):
+        a, b = SplitMix64(3), SplitMix64(3)
+        first = [a.next_u64() for _ in range(BATCH + 1)]
+        assert [b.next_u64() for _ in range(BATCH + 1)] == first
+
+
+class TestGenerateAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(bias_specs(), seeds)
+    def test_generate_matches_reference(self, spec, seed):
+        ours, ref = generate(spec, seed), reference_generate(spec, seed)
+        assert ours == ref
+        assert serialize_jsonl(ours) == reference_serialize_jsonl(ref)
+
+    def test_readme_spec_golden_sha256(self):
+        text = serialize_jsonl(generate(README_SPEC, 7))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == README_SPEC_SEED_7_SHA256
