@@ -27,6 +27,7 @@ from .dataset import Dataset, Vocabulary, load_vocabulary, parse_csv, parse_json
 from .graph import build_graph, to_dot, to_json_graph
 from .rebalance import DEFAULT_CLIP_THRESHOLD, PromptTemplate, RebalanceConfig
 from .report import (
+    Diagnosis,
     DiagnosisConfig,
     canonical_json,
     diagnose,
@@ -109,7 +110,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
     fmt = args.format
     if fmt == "auto":
         fmt = "csv" if args.input.lower().endswith(".csv") else "jsonl"
-    vocab = _load_vocab(getattr(args, "vocab", None))
+    vocab = _load_vocab(args.vocab)
     parse = parse_csv if fmt == "csv" else parse_jsonl
     dataset, report = parse(raw, strict=not args.lenient, vocabulary=vocab)
     for w in report.warnings:
@@ -127,9 +128,11 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
     return dataset, sha256_hex(raw)
 
 
-def _diagnosis_config(args: argparse.Namespace) -> DiagnosisConfig:
+def _diagnose(args: argparse.Namespace) -> tuple[Dataset, str, Diagnosis]:
+    """Load the input, build the config from the flags, and diagnose."""
+    dataset, digest = _load_dataset(args)
     with _validation():
-        return DiagnosisConfig(
+        config = DiagnosisConfig(
             min_support=args.min_support,
             k_max=args.k_max,
             relax_fraction=args.relax,
@@ -139,20 +142,17 @@ def _diagnosis_config(args: argparse.Namespace) -> DiagnosisConfig:
                 per_query_cap=args.cap,
             ),
         )
+    return dataset, digest, diagnose(dataset, config)
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    dataset, digest = _load_dataset(args)
-    config = _diagnosis_config(args)
-    result = diagnose(dataset, config)
+    dataset, digest, result = _diagnose(args)
     _write_output(args.out, canonical_json(report_dict(result, dataset, digest)))
     return EXIT_OK
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    dataset, digest = _load_dataset(args)
-    config = _diagnosis_config(args)
-    result = diagnose(dataset, config)
+    _, _, result = _diagnose(args)
     _write_output(args.out, plan_jsonl(result.plan))
     if args.out is None or args.out == "-":
         return EXIT_OK

@@ -9,7 +9,8 @@ counts on small cliques.
 
 Per-class and common cliques come from one depth-first search over the
 graph's adjacency bitsets that prunes a branch once too few classes remain,
-so the common cliques cost no per-class lists.
+so the common cliques cost no per-class lists. ``diagnose`` runs it over all
+classes through ``common_cliques``; the other entry points are per class.
 
 Cliques are represented as sorted tuples of concept names so that equality,
 hashing, and report ordering are canonical without extra bookkeeping.
@@ -33,6 +34,7 @@ __all__ = [
     "ImbalanceEntry",
     "enumerate_class_cliques",
     "common_clique_set",
+    "common_cliques",
     "frequency_table",
     "cooccurrence_count",
     "imbalanced_cliques",
@@ -42,15 +44,19 @@ Clique = tuple[str, ...]
 
 
 def _search(
-    graph: CooccurrenceGraph, labels: int, needed: int, k_max: int
+    graph: CooccurrenceGraph, labels: int, relax_fraction: float | None, k_max: int
 ) -> dict[int, tuple[Clique, ...]]:
-    """Concept cliques adjacent to at least ``needed`` of the classes in ``labels``.
+    """Concept cliques adjacent to all n classes in the bitset ``labels``, or
+    with ``relax_fraction`` f set (0 < f <= 1) to at least ceil(f * n) of them.
 
-    ``labels`` is a bitset over class positions. Depth-first over concepts in
-    sorted order; a branch carries the candidates and the classes adjacent to
-    every member, and stops once fewer than ``needed`` classes remain. Each
-    clique is produced once, and each level comes out lexicographically sorted.
+    Depth-first over concepts in sorted order; a branch carries the candidates
+    and the classes adjacent to every member, and stops once too few remain.
+    Each clique is produced once, and each level comes out sorted.
     """
+    if relax_fraction is not None and not 0.0 < relax_fraction <= 1.0:
+        raise ValueError(f"relax_fraction must be in (0, 1], got {relax_fraction}")
+    n = labels.bit_count()
+    needed = n if relax_fraction is None else math.ceil(relax_fraction * n)
     adjacency = graph.adjacency
     concepts = graph.concepts
     offset = len(graph.classes)
@@ -88,7 +94,7 @@ class ClassCliqueSet:
 
     @cached_property
     def by_level(self) -> dict[int, tuple[Clique, ...]]:
-        return _search(self.graph, 1 << self.graph.classes.index(self.label), 1, self.k_max)
+        return _search(self.graph, 1 << self.graph.classes.index(self.label), None, self.k_max)
 
     def level(self, k: int) -> tuple[Clique, ...]:
         return self.by_level.get(k, ())
@@ -135,15 +141,18 @@ def common_clique_set(
     labels = [s.label for s in per_class]
     if len(set(labels)) < len(labels):
         raise ValueError("duplicate class in clique sets")
-    if relax_fraction is not None and not 0.0 < relax_fraction <= 1.0:
-        raise ValueError(f"relax_fraction must be in (0, 1], got {relax_fraction}")
-
-    if relax_fraction is None:
-        needed = len(per_class)
-    else:
-        needed = max(1, math.ceil(relax_fraction * len(per_class)))
     bits = sum(1 << graph.classes.index(y) for y in labels)  # labels are distinct
-    return _search(graph, bits, needed, per_class[0].k_max)
+    return _search(graph, bits, relax_fraction, per_class[0].k_max)
+
+
+def common_cliques(
+    graph: CooccurrenceGraph, k_max: int, relax_fraction: float | None = None
+) -> dict[int, tuple[Clique, ...]]:
+    """Cliques shared across all of the graph's classes, level by level: what
+    ``common_clique_set`` finds over one set per class, without those sets."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    return _search(graph, (1 << len(graph.classes)) - 1, relax_fraction, k_max)
 
 
 class Provenance(enum.Enum):

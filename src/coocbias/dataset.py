@@ -195,8 +195,6 @@ class ValidationReport:
     warnings: list[WarningEntry] = field(default_factory=list)
     records_parsed: int = 0
     records_rejected: int = 0
-    distinct_classes: int = 0
-    distinct_concepts: int = 0
 
     def error(self, record_id: str, rule: str, message: str) -> None:
         self.errors.append(ErrorEntry(record_id, rule, message))
@@ -407,8 +405,6 @@ def _finalize(
     if overlap:
         report.error("", "class-concept-collision", f"class/concept collision: {sorted(overlap)!r}")
         return None, report
-    report.distinct_classes = len(classes)
-    report.distinct_concepts = len(concepts)
     return Dataset(records=tuple(survivors), classes=classes, concepts=concepts), report
 
 

@@ -136,6 +136,9 @@ def rebalance_plan(
     adjusted = table.copy()
     cap = config.per_query_cap
     queries: list[GenerationQuery] = []
+    per_class: dict[str, int] = {}
+    per_level: dict[int, int] = {}
+    total = 0
     truncated = False
     levels = sorted(adjusted.counts, reverse=True)
     for k in levels:
@@ -167,20 +170,17 @@ def rebalance_plan(
                         capped=capped,
                     )
                 )
+                per_class[label] = per_class.get(label, 0) + count
+                per_level[len(q)] = per_level.get(len(q), 0) + count
+                total += count
                 per[label] += count
                 for sub_per in subsets:
                     sub_per[label] += count
 
     adjusted.provenance = Provenance.ADJUSTED
-    per_class: dict[str, int] = {}
-    per_level: dict[int, int] = {}
-    for query in queries:
-        per_class[query.label] = per_class.get(query.label, 0) + query.count
-        size = len(query.concepts)
-        per_level[size] = per_level.get(size, 0) + query.count
     plan = GenerationPlan(
         queries=tuple(queries),
-        total_count=sum(query.count for query in queries),
+        total_count=total,
         truncated=truncated,
         per_class=per_class,
         per_level=per_level,

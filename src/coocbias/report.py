@@ -1,11 +1,12 @@
 """End-to-end diagnosis pipeline and canonical report serialization.
 
-``diagnose`` wires the stages together: graph build, the common-clique
-search (one search over all classes; no class's own clique list is built),
-frequency counting, imbalance extraction, and a plan drawn from the
-resulting table. Reports and plans serialize to byte-stable JSON (sorted
-keys, two-space indent, LF line endings, trailing newline) so that repeated
-runs over the same input are byte-identical and diff cleanly. File writes go through a temp file and an atomic rename.
+``diagnose`` wires the stages together: graph build, ``common_cliques``
+(one search over all classes; no per-class clique set is built), frequency
+counting, imbalance extraction, and a plan drawn from the resulting table.
+Reports and plans serialize to byte-stable JSON (sorted keys, two-space
+indent, LF line endings, trailing newline) so that repeated runs over the
+same input are byte-identical and diff cleanly; ``report_dict`` passes the
+pipeline's own tuples and dicts. Writes go through a temp file and a rename.
 
 ``canonical_json`` writes the text ``json.dumps`` would write with those
 settings, without ``json.dumps``: once an indent is set, CPython serves that
@@ -34,8 +35,7 @@ from . import __version__
 from .cliques import (
     CliqueFrequencyTable,
     ImbalanceEntry,
-    common_clique_set,
-    enumerate_class_cliques,
+    common_cliques,
     frequency_table,
     imbalanced_cliques,
 )
@@ -89,10 +89,7 @@ class Diagnosis:
 def diagnose(dataset: Dataset, config: DiagnosisConfig = DiagnosisConfig()) -> Diagnosis:
     """Run the full pipeline on a dataset and return every stage's output."""
     graph = build_graph(dataset, min_support=config.min_support)
-    per_class = [
-        enumerate_class_cliques(graph, label, config.k_max) for label in dataset.classes
-    ]
-    common = common_clique_set(per_class, relax_fraction=config.relax_fraction)
+    common = common_cliques(graph, config.k_max, config.relax_fraction)
     table = frequency_table(dataset, common)
     imbalances = imbalanced_cliques(table)
     plan, adjusted = rebalance_plan(table, config.rebalance)
@@ -115,16 +112,6 @@ def report_dict(diagnosis: Diagnosis, dataset: Dataset, input_digest: str) -> di
     concepts, per_class, max, deficits.
     """
     cfg = diagnosis.config
-    common = {str(k): [list(q) for q in cliques] for k, cliques in diagnosis.common.items()}
-    imbalances = [
-        {
-            "concepts": list(e.concepts),
-            "per_class": dict(e.per_class),
-            "max": e.max_count,
-            "deficits": dict(e.deficits),
-        }
-        for e in diagnosis.imbalances
-    ]
     return {
         "config": {
             "min_support": cfg.min_support,
@@ -139,8 +126,12 @@ def report_dict(diagnosis: Diagnosis, dataset: Dataset, input_digest: str) -> di
             "classes": len(dataset.classes),
             "concepts": len(dataset.concepts),
         },
-        "common_cliques": common,
-        "imbalances": imbalances,
+        # String level keys: canonical_json would sort int keys numerically.
+        "common_cliques": {str(k): cliques for k, cliques in diagnosis.common.items()},
+        "imbalances": [
+            {"concepts": e.concepts, "per_class": e.per_class, "max": e.max_count, "deficits": e.deficits}
+            for e in diagnosis.imbalances
+        ],
         "plan_summary": {
             "queries": len(diagnosis.plan.queries),
             "total_count": diagnosis.plan.total_count,

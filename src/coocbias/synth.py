@@ -78,8 +78,8 @@ class SplitMix64:
 
     def randrange(self, n: int) -> int:
         """Uniform int in [0, n) by rejection, no modulo bias."""
-        if n <= 0:
-            raise ValueError(f"randrange needs n >= 1, got {n}")
+        if not 1 <= n <= 1 << 64:
+            raise ValueError(f"randrange needs 1 <= n <= 2**64, got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         for u in self._u64:
             if u < limit:
@@ -87,8 +87,8 @@ class SplitMix64:
 
     def sample(self, items: list[str], k: int) -> list[str]:
         """k distinct items, partial Fisher-Yates over a copy."""
-        if k > len(items):
-            raise ValueError(f"sample size {k} exceeds population {len(items)}")
+        if not 0 <= k <= len(items):
+            raise ValueError(f"sample size {k} is outside 0..{len(items)}")
         pool = list(items)
         randrange = self.randrange
         for i in range(k):

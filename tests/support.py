@@ -294,8 +294,6 @@ def reference_finalize(candidates, report, strict: bool, vocab=None, unit: str =
         return None, report
     classes = tuple(sorted({r.label for r in survivors}))
     concepts = tuple(sorted(vocab.concepts if vocab is not None else {c for r in survivors for c in r.concepts}))
-    report.distinct_classes = len(classes)
-    report.distinct_concepts = len(concepts)
     return Dataset(records=tuple(survivors), classes=classes, concepts=concepts), report
 
 

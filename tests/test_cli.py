@@ -57,6 +57,12 @@ class TestDiagnose:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert list(report["common_cliques"]) == ["1"]
 
+    def test_level_keys_sort_as_strings(self, d4_jsonl, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["diagnose", "--input", str(d4_jsonl), "--k-max", "12", "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert list(report["common_cliques"]) == ["1", "10", "11", "12", "2", "3", "4", "5", "6", "7", "8", "9"]
+
     def test_collision_exits_1_without_report(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id":"r1","label":"tree","concepts":["tree"]}\n', encoding="utf-8")

@@ -1,6 +1,10 @@
 """Deterministic synthetic generator and its RNG."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from coocbias.synth import BiasSpec, SplitMix64, generate
 from support import ReferenceSplitMix64, reference_generate, reference_serialize_jsonl
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TWO_GROUPS = {
     "landbird": ("bamboo", "field", "forest", "grass", "tree"),
@@ -56,9 +61,16 @@ class TestSplitMix64:
         for _ in range(20):
             assert 0 <= rng.randrange(n) < n
 
-    def test_randrange_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SplitMix64(0).randrange(0)
+    @pytest.mark.parametrize("n", [0, 2**64 + 1], ids=["zero", "above-2**64"])
+    def test_randrange_rejects_nonpositive(self, n):
+        # In a child process, so that a draw loop that never ends fails on the timeout.
+        code = f"from coocbias.synth import SplitMix64\nSplitMix64(0).randrange({n})"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+        assert child.stderr.strip().splitlines()[-1].startswith("ValueError:"), child.stderr
+
+    def test_randrange_full_width_is_the_raw_draw(self):
+        assert SplitMix64(5).randrange(2**64) == SplitMix64(5).next_u64()
 
     def test_sample_distinct_members(self):
         rng = SplitMix64(9)
@@ -68,9 +80,10 @@ class TestSplitMix64:
             assert len(set(got)) == 4
             assert set(got) <= set(items)
 
-    def test_sample_too_large_rejected(self):
+    @pytest.mark.parametrize("items, k", [(["a"], 2), (["a", "b", "c"], -1)], ids=["too-large", "negative"])
+    def test_sample_too_large_rejected(self, items, k):
         with pytest.raises(ValueError):
-            SplitMix64(0).sample(["a"], 2)
+            SplitMix64(0).sample(items, k)
 
     def test_randrange_roughly_uniform(self):
         rng = SplitMix64(123)
