@@ -16,10 +16,10 @@ constructed :class:`Dataset` is immutable and safe for concurrent reads.
 Cost model: both parsers build records through one builder that cleans each
 distinct raw name and each distinct raw concept list once per parse, so the
 per-record work is a few dict lookups, and records share one ``str`` per raw
-name and one tuple per raw concept list. A JSONL input is decoded in one call
-(line by line only when it holds invalid UTF-8). Validation checks whole sets
-first and walks the records one by one only when a set check finds a duplicate
-id or a class/concept collision.
+name and one tuple per raw concept list. A JSONL input is decoded line by line,
+so a parse peaks at the input bytes plus the kept (slotted) records and the id
+set. Validation checks whole sets first and walks the records only when a set
+check finds a duplicate id, a vocabulary miss or a class/concept collision.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ import io
 import json
 import re
 import unicodedata
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, Callable, Iterable, Union
+from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "AnnotationRecord",
@@ -60,7 +61,7 @@ def _clean(name: str) -> str:
     return unicodedata.normalize("NFC", name).strip()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationRecord:
     """One image's metadata: opaque id, class label, concepts present.
 
@@ -121,9 +122,9 @@ class Dataset:
         it runs the parsers' validation in strict mode and raises ValueError
         with the first error, citing 1-based record positions.
         """
-        candidates = list(enumerate(records, start=1))
+        records = list(records)
         checked: set[tuple[str, ...]] = set()
-        for _, r in candidates:
+        for r in records:
             if not r.id or not r.label:
                 raise ValueError(f"record with empty id or label: {r!r}")
             if isinstance(r.concepts, tuple) and r.concepts in checked:
@@ -131,7 +132,7 @@ class Dataset:
             if tuple(sorted(set(r.concepts))) != r.concepts:
                 raise ValueError(f"record {r.id!r}: concepts must be sorted and duplicate-free")
             checked.add(r.concepts)
-        dataset, report = _finalize(candidates, ValidationReport(), True, vocabulary, "record")
+        dataset, report = _finalize(records, range(1, len(records) + 1), ValidationReport(), True, vocabulary, "record")
         if dataset is None:
             raise ValueError(report.errors[0].message)
         return dataset
@@ -231,27 +232,26 @@ def _source_text(source: Source) -> str:
     return _source_bytes(source).decode("utf-8-sig")
 
 
-def _decoded_lines(data: bytes, report: ValidationReport) -> list[str]:
-    """Split into lines, LF or CRLF; line i of the result is line i + 1 of the input.
+def _decoded_lines(data: bytes, report: ValidationReport) -> Iterator[tuple[int, str]]:
+    """Yield ``(line_no, text)`` per line, LF or CRLF, each line decoded on its own.
 
-    The input is decoded in one call. Only when that fails is each line decoded
-    on its own, so an invalid line is reported with its number and kept as a
-    blank line. Splitting is on LF alone: a raw U+2028 or U+0085 is legal inside
-    a JSON string.
+    No UTF-8 sequence holds an LF byte, and a raw U+2028 or U+0085 is legal in a
+    JSON string, so lines split on LF alone. An undecodable line is skipped; its
+    ``encoding`` error goes ahead of all other errors once the input is used up.
     """
+    stream = io.BytesIO(data)  # shares ``data``'s buffer: no copy
     if data.startswith(b"\xef\xbb\xbf"):
-        data = data[3:]
-    try:
-        lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        lines = []
-        for line_no, raw in enumerate(data.split(b"\n"), start=1):
-            try:
-                lines.append(raw.decode("utf-8"))
-            except UnicodeDecodeError:
-                report.reject("", "encoding", f"line {line_no}: invalid UTF-8")
-                lines.append("")
-    return [line[:-1] if line.endswith("\r") else line for line in lines]
+        stream.seek(3)
+    invalid: list[ErrorEntry] = []
+    for line_no, raw in enumerate(stream, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            invalid.append(ErrorEntry("", "encoding", f"line {line_no}: invalid UTF-8"))
+            continue
+        yield line_no, text.removesuffix("\n").removesuffix("\r")
+    report.errors[:0] = invalid
+    report.records_rejected += len(invalid)
 
 
 class _RecordBuilder:
@@ -273,7 +273,8 @@ class _RecordBuilder:
         # garbage collector and costs extra full collections when lists
         # rarely repeat.
         self.flagged: dict[object, tuple[bool, bool]] = {}
-        self.candidates: list[tuple[int, AnnotationRecord]] = []
+        self.records: list[AnnotationRecord] = []
+        self.positions = array("q")  # line number of each record
 
     def _name(self, raw: str) -> str:
         name = self.names.get(raw)
@@ -313,7 +314,8 @@ class _RecordBuilder:
             report.warn(rid, f"line {line_no}: duplicate concepts deduplicated")
         if not concepts:
             report.warn(rid, f"line {line_no}: record has no concepts")
-        self.candidates.append((line_no, AnnotationRecord(rid, label, concepts)))
+        self.records.append(AnnotationRecord(rid, label, concepts))
+        self.positions.append(line_no)
 
 
 def _split_cell(cell: str) -> list[str]:
@@ -321,7 +323,8 @@ def _split_cell(cell: str) -> list[str]:
 
 
 def _finalize(
-    candidates: list[tuple[int, AnnotationRecord]],
+    records: list[AnnotationRecord],
+    positions: Sequence[int],
     report: ValidationReport,
     strict: bool,
     vocab: Vocabulary | None,
@@ -329,58 +332,52 @@ def _finalize(
 ) -> tuple[Dataset | None, ValidationReport]:
     """Validate records and build the Dataset: the one path of both parsers and from_records.
 
-    ``candidates`` pair records with 1-based positions, cited as ``"<unit> <n>"``.
-    Duplicate ids, names outside ``vocab`` and class/concept collisions reject
-    records. Classes come from the survivors' labels, concepts from ``vocab``
-    or else the survivors.
+    ``positions[i]`` is the 1-based position of ``records[i]``, cited as
+    ``"<unit> <n>"``. Duplicate ids, names outside ``vocab`` and class/concept
+    collisions reject records. Classes come from the survivors' labels,
+    concepts from ``vocab`` or else the survivors.
     """
-    report.records_parsed = len(candidates)
+    report.records_parsed = len(records)
 
-    # The per-record loops below run only when a set check finds something.
-    deduped = candidates
-    if len({rec.id for _, rec in candidates}) < len(candidates):
-        deduped = []
+    # Each check tests the sets of all records first, and walks the records, each
+    # paired with its position, only when that finds something.
+    labels = {rec.label for rec in records}
+    concept_names = set().union(*{rec.concepts for rec in records})
+    if len({rec.id for rec in records}) < len(records):
         first_seen: dict[str, int] = {}
-        for cand in candidates:
-            pos, rec = cand
-            if rec.id in first_seen:
-                report.reject(
-                    rec.id,
-                    "duplicate-id",
-                    f"{unit} {pos}: duplicate id {rec.id!r} (first seen on {unit} {first_seen[rec.id]})",
-                )
-                continue
-            first_seen[rec.id] = pos
-            deduped.append(cand)  # the same pair: no new tuple per record
+        for pos, rec in zip(positions, records):
+            first = first_seen.setdefault(rec.id, pos)
+            if first != pos:
+                report.reject(rec.id, "duplicate-id", f"{unit} {pos}: duplicate id {rec.id!r} (first seen on {unit} {first})")
+        records = [rec for pos, rec in zip(positions, records) if first_seen[rec.id] == pos]
+        positions = list(first_seen.values())  # the kept positions, in order
 
-    if vocab is not None:
-        in_vocab: list[tuple[int, AnnotationRecord]] = []
-        class_set = set(vocab.classes)
-        concept_set = set(vocab.concepts)
-        for pos, rec in deduped:
+    if vocab is not None and not (labels <= set(vocab.classes) and concept_names <= set(vocab.concepts)):
+        class_set, concept_set = set(vocab.classes), set(vocab.concepts)
+        kept: list[AnnotationRecord] = []
+        kept_at: list[int] = []
+        for pos, rec in zip(positions, records):
             unknown = [c for c in rec.concepts if c not in concept_set]
             if rec.label not in class_set:
                 report.reject(rec.id, "unknown-class", f"{unit} {pos}: label {rec.label!r} not in vocabulary")
             elif unknown:
                 report.reject(rec.id, "unknown-concept", f"{unit} {pos}: concepts not in vocabulary: {unknown!r}")
             else:
-                in_vocab.append((pos, rec))
-        deduped = in_vocab
+                kept.append(rec)
+                kept_at.append(pos)
+        records, positions = kept, kept_at
 
     # Class/concept collision is a file-level check: a name may not be used
     # both as a label and as a concept anywhere. In lenient mode the records
     # using the name as a concept are dropped, keeping the label side intact.
-    labels = {rec.label for _, rec in deduped}
-    concept_names = set().union(*{rec.concepts for _, rec in deduped})
-    survivors = [rec for _, rec in deduped]
     if not labels.isdisjoint(concept_names):
         label_source: dict[str, tuple[int, str]] = {}
-        for pos, rec in deduped:
+        for pos, rec in zip(positions, records):
             label_source.setdefault(rec.label, (pos, rec.id))
-        survivors = []
-        for pos, rec in deduped:
+        kept = []
+        for pos, rec in zip(positions, records):
             if label_source.keys().isdisjoint(rec.concepts):
-                survivors.append(rec)
+                kept.append(rec)
                 continue
             hit = next(c for c in rec.concepts if c in label_source)
             other_pos, other_id = label_source[hit]
@@ -390,12 +387,14 @@ def _finalize(
                 f"{unit} {pos}: class/concept collision: {hit!r} is a concept of "
                 f"record {rec.id!r} and the label of record {other_id!r} ({unit} {other_pos})",
             )
-        labels = {rec.label for rec in survivors}
-        concept_names = {c for rec in survivors for c in rec.concepts}
+        records = kept
+    if len(records) < report.records_parsed:
+        labels = {rec.label for rec in records}
+        concept_names = set().union(*{rec.concepts for rec in records})
 
-    if not survivors:
+    if not records:
         report.error("", "no-records", "no records")
-    if (strict and report.errors) or not survivors:
+    if (strict and report.errors) or not records:
         return None, report
 
     classes = tuple(sorted(labels))
@@ -405,7 +404,7 @@ def _finalize(
     if overlap:
         report.error("", "class-concept-collision", f"class/concept collision: {sorted(overlap)!r}")
         return None, report
-    return Dataset(records=tuple(survivors), classes=classes, concepts=concepts), report
+    return Dataset(records=tuple(records), classes=classes, concepts=concepts), report
 
 
 def parse_jsonl(
@@ -421,7 +420,7 @@ def parse_jsonl(
     """
     report = ValidationReport()
     builder = _RecordBuilder(report, split=tuple)
-    for line_no, text in enumerate(_decoded_lines(_source_bytes(source), report), start=1):
+    for line_no, text in _decoded_lines(_source_bytes(source), report):
         if not text.strip():
             continue
         try:
@@ -449,7 +448,7 @@ def parse_jsonl(
             report.reject("", "encoding", f"line {line_no}: name is not valid Unicode (lone surrogate escape)")
             continue
         builder.add(line_no, rid, label, tuple(concepts))
-    return _finalize(builder.candidates, report, strict, vocabulary)
+    return _finalize(builder.records, builder.positions, report, strict, vocabulary)
 
 
 def parse_csv(
@@ -498,7 +497,7 @@ def parse_csv(
     if header is None:
         report.error("", "bad-header", "empty file: missing header row")
         return None, report
-    return _finalize(builder.candidates, report, strict, vocabulary)
+    return _finalize(builder.records, builder.positions, report, strict, vocabulary)
 
 
 def serialize_jsonl(dataset: Dataset) -> str:

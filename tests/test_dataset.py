@@ -1,9 +1,12 @@
 """Parsing, validation, and normalization."""
 
+import copy
 import csv
 import dataclasses
 import io
 import json
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +163,20 @@ class TestParseJsonl:
         ds, rep = parse_jsonl(data, strict=False)
         assert [r.id for r in ds.records] == ["r1", "r3"]
         assert [(e.rule, e.message) for e in rep.errors] == errors
+        assert rep.records_rejected == 2
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("final_eol", [True, False], ids=["final-eol", "no-final-eol"])
+    def test_encoding_errors_come_before_errors_of_earlier_lines(self, bom, eol, final_eol):
+        data = bom + line(rid="").encode() + eol + b"\xff" + (eol if final_eol else b"")
+        ds, rep = parse_jsonl(data, strict=False)
+        assert ds is None
+        assert [(e.rule, e.message) for e in rep.errors] == [
+            ("encoding", "line 2: invalid UTF-8"),
+            ("empty-field", "line 1: empty id"),
+            ("no-records", "no records"),
+        ]
         assert rep.records_rejected == 2
 
     def test_bad_types_rejected(self):
@@ -441,6 +458,50 @@ class TestRecordMasks:
         vocab = load_vocabulary({"classes": ["A"], "concepts": ["x", "z"]})
         ds, _ = parse_jsonl(line(), vocabulary=vocab)
         assert ds.masks == {"A": 1, "x": 1, "z": 0}
+
+
+def _pickled(obj):
+    copies = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(c == copies[0] for c in copies)
+    return copies[0]
+
+
+COPIERS = pytest.mark.parametrize(
+    "copier", [_pickled, copy.copy, copy.deepcopy, dataclasses.replace], ids=["pickle", "copy", "deepcopy", "replace"]
+)
+
+
+class TestSlottedRecord:
+    """A record is a slotted frozen dataclass that behaves as a value."""
+
+    def test_no_instance_dict_and_value_semantics(self):
+        rec = AnnotationRecord("r1", "A", ("x", "y"))
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(rec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.id = "r2"
+        same = AnnotationRecord(id="r1", label="A", concepts=("x", "y"))
+        assert rec == same and hash(rec) == hash(same)
+        assert rec != AnnotationRecord("r1", "A", ("x",))
+        assert repr(rec) == "AnnotationRecord(id='r1', label='A', concepts=('x', 'y'))"
+
+    @COPIERS
+    def test_record_round_trips(self, copier):
+        rec = AnnotationRecord("r1", "A", ("x", "y"))
+        twin = copier(rec)
+        assert type(twin) is AnnotationRecord
+        assert twin == rec and hash(twin) == hash(rec)
+
+    @COPIERS
+    def test_parsed_dataset_round_trips(self, copier):
+        ds, _ = parse_jsonl(D4_JSONL)
+        before = copier(ds)  # copied before the masks are cached
+        assert before == ds
+        assert before.masks == ds.masks
+        after = copier(ds)  # copied with the masks cached
+        assert after == ds
+        assert after.masks == ds.masks
 
 
 class TestDatasetInvariants:
