@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .rebalance import DEFAULT_CLIP_THRESHOLD, PromptTemplate, RebalanceConfig
 from .report import (
     Diagnosis,
     DiagnosisConfig,
-    canonical_json,
+    canonical_chunks,
     diagnose,
     plan_jsonl,
     report_dict,
@@ -77,9 +78,10 @@ def _read_bytes(path: str) -> bytes:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _write_output(path: str | None, text: str) -> None:
+def _write_output(path: str | None, text: str | Iterable[str]) -> None:
+    """Write one string or an iterable of pieces to ``path``, or to stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines((text,) if isinstance(text, str) else text)
         return
     try:
         write_text(Path(path), text)
@@ -147,7 +149,7 @@ def _diagnose(args: argparse.Namespace) -> tuple[Dataset, str, Diagnosis]:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     dataset, digest, result = _diagnose(args)
-    _write_output(args.out, canonical_json(report_dict(result, dataset, digest)))
+    _write_output(args.out, canonical_chunks(report_dict(result, dataset, digest)))
     return EXIT_OK
 
 
@@ -171,7 +173,7 @@ def cmd_export_graph(args: argparse.Namespace) -> int:
     if args.graph_format == "dot":
         _write_output(args.out, to_dot(graph))
     else:
-        _write_output(args.out, canonical_json(to_json_graph(graph)))
+        _write_output(args.out, canonical_chunks(to_json_graph(graph)))
     return EXIT_OK
 
 

@@ -228,7 +228,7 @@ def frequency_table(
     return CliqueFrequencyTable(classes=dataset.classes, counts=counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImbalanceEntry:
     """One unevenly covered clique: per-class counts and per-class shortfalls.
 

@@ -6,19 +6,23 @@ counting, imbalance extraction, and a plan drawn from the resulting table.
 Reports and plans serialize to byte-stable JSON (sorted keys, two-space
 indent, LF line endings, trailing newline) so that repeated runs over the
 same input are byte-identical and diff cleanly; ``report_dict`` passes the
-pipeline's own tuples and dicts. Writes go through a temp file and a rename.
+pipeline's own tuples and dicts. Writes go through a temp file and a rename;
+the file gets the mode a plain ``open`` would give it.
 
-``canonical_json`` writes the text ``json.dumps`` would write with those
-settings, without ``json.dumps``: once an indent is set, CPython serves that
-call only from its pure-Python encoder, which runs a generator chain per value
-and gathers every chunk into one list before joining. Here each container
-joins its children's finished text once, and a list of plain strings is one
-join over json's C string escaper. The cost is one Python call per value that
-is not in such a list, plus one join per container; memory beyond the output
-is about the text of the largest container's children. On a dense report (10k
-records, 200 concepts, k_max 4: 522k common cliques, 42.8 MiB of JSON) it
-renders in 1.7-1.8 s against 2.5-2.9 s for ``json.dumps``, with a traced
-allocation peak of 138 against 243 MiB (2-vCPU VM, CPython 3.11.7).
+``canonical_chunks`` yields the text ``json.dumps`` would write with those
+settings, in pieces, without ``json.dumps``: once an indent is set, CPython
+serves that call only from its pure-Python encoder, which runs a generator
+chain per value and gathers every chunk into one list before joining. Here
+each container joins its children's finished text once, and a list of plain
+strings is one join over json's C string escaper. The pieces walk every
+dict that holds lists or dicts and cut a list longer than ``_BATCH`` items
+into batches, so a writer fed by them holds one batch's text at a time, not
+the report. On a dense report (10k records, 200 concepts, k_max 4: 522k
+common cliques, 42.8 MiB of JSON) ``coocbias diagnose`` peaks at 215 MiB RSS
+instead of 463 MiB, with the copy-on-write planner's share included.
+``canonical_json`` joins the same pieces into one string; it renders that
+report in 1.4-1.6 s against 2.5-2.7 s for ``json.dumps`` (2-vCPU VM,
+CPython 3.11.7).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -48,6 +52,7 @@ __all__ = [
     "Diagnosis",
     "diagnose",
     "report_dict",
+    "canonical_chunks",
     "canonical_json",
     "plan_jsonl",
     "write_text",
@@ -75,7 +80,11 @@ class DiagnosisConfig:
 
 @dataclass(frozen=True)
 class Diagnosis:
-    """All intermediate and final artifacts of one diagnosis run."""
+    """All intermediate and final artifacts of one diagnosis run.
+
+    ``adjusted`` shares the per-class dict of every clique the plan leaves
+    unchanged with ``table``; mutate ``adjusted.copy()``, not ``adjusted``.
+    """
 
     config: DiagnosisConfig
     graph: CooccurrenceGraph
@@ -142,16 +151,54 @@ def report_dict(diagnosis: Diagnosis, dataset: Dataset, input_digest: str) -> di
     }
 
 
-def canonical_json(payload: dict) -> str:
-    """Byte-stable JSON text: sorted keys, indent 2, LF, trailing newline.
+def canonical_chunks(payload) -> Iterator[str]:
+    """Byte-stable JSON text in pieces: sorted keys, indent 2, LF, trailing newline.
 
-    The text is exactly ``json.dumps(payload, sort_keys=True, indent=2,
-    ensure_ascii=False) + "\\n"``, including the ``TypeError`` for a value or
-    key that ``json`` cannot encode. Payloads are trees: a container that
-    holds itself exhausts the recursion limit instead of raising ``json``'s
-    ``ValueError``.
+    Joined, the pieces are exactly ``json.dumps(payload, sort_keys=True,
+    indent=2, ensure_ascii=False) + "\\n"``, including the ``TypeError`` for a
+    value or key that ``json`` cannot encode (raised when the generator
+    reaches it, after the pieces before it). Payloads are trees: a container
+    that holds itself exhausts the recursion limit instead of raising
+    ``json``'s ``ValueError``.
+
+    A dict that holds containers is walked item by item, a list longer than
+    ``_BATCH`` items comes out one batch of items at a time, and anything else
+    is one piece from ``_text``.
     """
-    return _text(payload, "\n") + "\n"
+    yield from _chunks(payload, "\n")
+    yield "\n"
+
+
+def canonical_json(payload: dict) -> str:
+    """The text of ``canonical_chunks(payload)`` as one string."""
+    return "".join(canonical_chunks(payload))
+
+
+# Items per piece of a long list: large enough that the per-piece overhead
+# does not show, small enough that a batch of report entries is tens of KiB.
+_BATCH = 256
+
+
+def _chunks(value, newline: str) -> Iterator[str]:
+    """The text of ``_text(value, newline)``, in pieces."""
+    if isinstance(value, dict) and any(isinstance(v, (dict, list, tuple)) for v in value.values()):
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(value.items()):
+            yield sep + _key(k) + ": "
+            yield from _chunks(v, inner)
+            sep = "," + inner
+        yield newline + "}"
+    elif isinstance(value, (list, tuple)) and len(value) > _BATCH:
+        inner = newline + "  "
+        sep = "[" + inner
+        join = ("," + inner).join
+        for start in range(0, len(value), _BATCH):
+            yield sep + join([_text(v, inner) for v in value[start : start + _BATCH]])
+            sep = "," + inner
+        yield newline + "]"
+    else:
+        yield _text(value, newline)
 
 
 def _float_text(x: float) -> str:
@@ -237,13 +284,20 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_text(path: Path, text: str) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+def write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or an iterable of pieces, atomically.
+
+    The pieces go to a temp file in the target directory, which is then
+    renamed over ``path``; on any error the temp file is removed. The file
+    gets mode 0o666 less the umask, as a plain ``open`` would give it.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    # os.open applies the umask to the mode; tempfile.mkstemp would fix 0o600.
+    tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:

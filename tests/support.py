@@ -12,17 +12,21 @@ versions here, as judges of the batched generator and the direct writers.
 
 from __future__ import annotations
 
+import copy
 import csv
+import dataclasses
 import io
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 import unicodedata
 from collections import Counter
 from itertools import combinations
 
+import pytest
 from hypothesis import strategies as st
 
 from coocbias.cliques import CliqueFrequencyTable, Provenance
@@ -50,6 +54,19 @@ D4_JSONL = (
 )
 
 D4_CSV = "id,label,concepts\nr1,A,x;y\nr2,A,x\nr3,B,y\nr4,B,x;y\n"
+
+
+def pickled(obj):
+    """``obj`` through ``pickle`` at every protocol; all copies must be equal."""
+    copies = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(c == copies[0] for c in copies)
+    return copies[0]
+
+
+# Every way a frozen dataclass value gets copied.
+COPIERS = pytest.mark.parametrize(
+    "copier", [pickled, copy.copy, copy.deepcopy, dataclasses.replace], ids=["pickle", "copy", "deepcopy", "replace"]
+)
 
 
 def d4_dataset() -> Dataset:

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from coocbias import BiasSpec, generate
 from coocbias.cli import main
-from coocbias.dataset import parse_jsonl
+from coocbias.dataset import parse_jsonl, serialize_jsonl
+from coocbias.report import _BATCH
 from support import D4_JSONL
 
 SPEC = {
@@ -256,6 +258,41 @@ class TestExportGraph:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert [n["kind"] for n in payload["nodes"]] == ["class", "class"]
         assert payload["edges"] == []
+
+
+@pytest.fixture(scope="module")
+def shared_cliques_jsonl(tmp_path_factory):
+    """800 records whose report and graph hold lists longer than one batch."""
+    groups = {f"class{i}": tuple(f"g{i}c{j:02d}" for j in range(10)) for i in range(4)}
+    spec = BiasSpec(groups=groups, rho=0.6, per_class_n=200, concepts_per_record=(2, 4))
+    path = tmp_path_factory.mktemp("shared") / "shared.jsonl"
+    path.write_text(serialize_jsonl(generate(spec, 3)), encoding="utf-8")
+    return path
+
+
+class TestStreamedOutput:
+    """The chunked report and graph writers give the same bytes on stdout and in a file."""
+
+    @pytest.mark.parametrize(
+        "command, longest",
+        [
+            (["diagnose", "--k-max", "3"], lambda p: len(p["imbalances"])),
+            (["diagnose", "--k-max", "3", "--relax", "0.5"], lambda p: len(p["common_cliques"]["3"])),
+            (["export-graph", "--graph-format", "json"], lambda p: len(p["edges"])),
+        ],
+        ids=["diagnose", "diagnose-relax", "export-graph"],
+    )
+    def test_stdout_and_file_bytes_equal(self, shared_cliques_jsonl, tmp_path, capsys, command, longest):
+        args = command + ["--input", str(shared_cliques_jsonl)]
+        out = tmp_path / "out.json"
+        assert main(args + ["--out", "-"]) == 0
+        streamed = capsys.readouterr().out.encode("utf-8")
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == streamed
+        payload = json.loads(streamed)
+        assert longest(payload) > _BATCH
+        oracle = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert streamed == oracle.encode("utf-8")
 
 
 class TestSynth:

@@ -1,9 +1,13 @@
 """Clique enumeration, intersection, frequency counting, imbalance extraction."""
 
+import dataclasses
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
 from coocbias.cliques import (
+    ImbalanceEntry,
     Provenance,
     common_clique_set,
     cooccurrence_count,
@@ -15,6 +19,7 @@ from coocbias.dataset import AnnotationRecord, Dataset
 from coocbias.graph import build_graph
 from coocbias.report import DiagnosisConfig, diagnose
 from support import (
+    COPIERS,
     brute_force_class_cliques,
     datasets,
     oracle_common_cliques,
@@ -368,3 +373,38 @@ class TestImbalances:
                 key1 = (len(first.concepts), first.concepts)
                 key2 = (len(second.concepts), second.concepts)
                 assert key1 <= key2
+
+
+class TestSlottedImbalanceEntry:
+    """An imbalance entry is a slotted frozen dataclass that compares by value."""
+
+    def entry(self, d4):
+        return diagnose(d4, DiagnosisConfig(k_max=2)).imbalances[0]
+
+    def test_no_instance_dict_and_value_semantics(self, d4):
+        entry = self.entry(d4)
+        assert not hasattr(entry, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(entry)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.max_count = 3
+        same = ImbalanceEntry(
+            concepts=("x",), per_class={"A": 2, "B": 1}, max_count=2, deficits={"B": 1}, under_represented=("B",)
+        )
+        assert entry == same
+        assert entry != dataclasses.replace(same, max_count=3)
+        assert repr(entry) == (
+            "ImbalanceEntry(concepts=('x',), per_class={'A': 2, 'B': 1}, max_count=2, "
+            "deficits={'B': 1}, under_represented=('B',))"
+        )
+
+    def test_unhashable_because_of_its_dicts(self, d4):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(self.entry(d4))
+
+    @COPIERS
+    def test_round_trips(self, d4, copier):
+        entry = self.entry(d4)
+        twin = copier(entry)
+        assert type(twin) is ImbalanceEntry
+        assert twin == entry

@@ -1,11 +1,9 @@
 """Parsing, validation, and normalization."""
 
-import copy
 import csv
 import dataclasses
 import io
 import json
-import pickle
 import weakref
 
 import pytest
@@ -22,7 +20,7 @@ from coocbias.dataset import (
     Vocabulary,
     serialize_jsonl,
 )
-from support import D4_CSV, D4_JSONL, contains, datasets, reference_finalize, reference_parse
+from support import COPIERS, D4_CSV, D4_JSONL, contains, datasets, reference_finalize, reference_parse
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -458,17 +456,6 @@ class TestRecordMasks:
         vocab = load_vocabulary({"classes": ["A"], "concepts": ["x", "z"]})
         ds, _ = parse_jsonl(line(), vocabulary=vocab)
         assert ds.masks == {"A": 1, "x": 1, "z": 0}
-
-
-def _pickled(obj):
-    copies = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    assert all(c == copies[0] for c in copies)
-    return copies[0]
-
-
-COPIERS = pytest.mark.parametrize(
-    "copier", [_pickled, copy.copy, copy.deepcopy, dataclasses.replace], ids=["pickle", "copy", "deepcopy", "replace"]
-)
 
 
 class TestSlottedRecord:

@@ -1,5 +1,8 @@
 """Prompt rendering, plan construction, the update step, virtual application."""
 
+import dataclasses
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,13 +18,14 @@ from coocbias.cliques import (
 from coocbias.dataset import AnnotationRecord, Dataset
 from coocbias.graph import build_graph
 from coocbias.rebalance import (
+    GenerationQuery,
     PromptTemplate,
     RebalanceConfig,
     apply_virtual,
     rebalance_plan,
     render_prompt,
 )
-from support import datasets, random_dataset, reference_plan
+from support import COPIERS, datasets, random_dataset, reference_plan
 
 PROPERTY_SETTINGS = settings(max_examples=75, deadline=None)
 
@@ -296,6 +300,98 @@ class TestAgainstReferencePlan:
         for template in PromptTemplate:
             config = RebalanceConfig(template=template, per_query_cap=cap)
             assert rebalance_plan(table, config) == reference_plan(table, config)
+
+
+class TestCopyOnWrite:
+    """The adjusted table copies only the per-class dicts the plan changes."""
+
+    def test_credit_can_unbalance_a_balanced_clique(self):
+        # {p} starts balanced; the B records planned for {p, q} lift B above A
+        # on {p}, so {p} must be planned for A even though it was balanced.
+        table = CliqueFrequencyTable(
+            classes=("A", "B"),
+            counts={
+                2: {("p", "q"): {"A": 3, "B": 1}},
+                1: {("p",): {"A": 3, "B": 3}, ("q",): {"A": 3, "B": 1}},
+            },
+        )
+        assert {e.concepts for e in imbalanced_cliques(table)} == {("p", "q"), ("q",)}
+        plan, adjusted = rebalance_plan(table)
+        assert [(q.label, q.concepts, q.count) for q in plan.queries] == [
+            ("B", ("p", "q"), 2),
+            ("A", ("p",), 2),
+        ]
+        assert adjusted.counts[1][("p",)] == {"A": 5, "B": 5}
+        assert (plan, adjusted) == reference_plan(table)
+
+    @PROPERTY_SETTINGS
+    @given(datasets(max_concepts=5))
+    def test_input_dicts_never_mutated(self, ds):
+        table = diagnose_table(ds, k_max=4)
+        levels = {k: (level, dict(level)) for k, level in table.counts.items()}
+        dicts = {(k, q): (per, dict(per)) for k, level in table.counts.items() for q, per in level.items()}
+        for cap in (None, 1):
+            rebalance_plan(table, RebalanceConfig(per_query_cap=cap))
+        assert table.provenance is Provenance.ORIGINAL
+        for k, (level, before) in levels.items():
+            assert table.counts[k] is level and level == before
+        for (k, q), (per, before) in dicts.items():
+            assert table.counts[k][q] is per and per == before
+
+    @PROPERTY_SETTINGS
+    @given(datasets(max_concepts=5))
+    def test_unchanged_cliques_share_their_dict(self, ds):
+        table = diagnose_table(ds, k_max=4)
+        plan, adjusted = rebalance_plan(table)
+        assert adjusted.counts.keys() == table.counts.keys()
+        for k, level in table.counts.items():
+            assert adjusted.counts[k] is not level
+            assert adjusted.counts[k].keys() == level.keys()
+            for q, per in level.items():
+                changed = adjusted.counts[k][q] != per
+                assert (adjusted.counts[k][q] is per) is not changed
+        # A copy of the adjusted table can be mutated without touching the input.
+        mutable = adjusted.copy()
+        for level in mutable.counts.values():
+            for per in level.values():
+                for label in per:
+                    per[label] = -1
+        assert all(n >= 0 for level in table.counts.values() for per in level.values() for n in per.values())
+
+
+class TestSlottedQuery:
+    """A generation query is a slotted frozen dataclass that behaves as a value."""
+
+    QUERY = GenerationQuery("B", ("x", "y"), 2, "a photo of x and y", 0.6)
+
+    def test_no_instance_dict_and_value_semantics(self):
+        q = self.QUERY
+        assert not hasattr(q, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(q)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.count = 3
+        same = GenerationQuery(
+            label="B", concepts=("x", "y"), count=2, prompt="a photo of x and y", clip_threshold=0.6, capped=False
+        )
+        assert q == same and hash(q) == hash(same)
+        assert q != dataclasses.replace(q, capped=True)
+        assert repr(q) == (
+            "GenerationQuery(label='B', concepts=('x', 'y'), count=2, "
+            "prompt='a photo of x and y', clip_threshold=0.6, capped=False)"
+        )
+
+    @COPIERS
+    def test_round_trips(self, copier):
+        twin = copier(self.QUERY)
+        assert type(twin) is GenerationQuery
+        assert twin == self.QUERY and hash(twin) == hash(self.QUERY)
+
+    @COPIERS
+    def test_plan_round_trips(self, d4, copier):
+        plan, _ = rebalance_plan(diagnose_table(d4, k_max=2))
+        twin = copier(plan)
+        assert twin.queries == plan.queries
 
 
 class TestApplyVirtual:
