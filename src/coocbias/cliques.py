@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -243,6 +244,11 @@ class ImbalanceEntry:
     under_represented: tuple[str, ...]
 
 
+def _uneven(level: dict[Clique, dict[str, int]]) -> Iterator[tuple[Clique, dict[str, int]]]:
+    """The cliques of one level whose per-class counts differ, with those counts."""
+    return ((q, per) for q, per in level.items() if len(set(per.values())) > 1)
+
+
 def imbalanced_cliques(table: CliqueFrequencyTable) -> tuple[ImbalanceEntry, ...]:
     """Extract the cliques whose per-class counts differ, worst first.
 
@@ -255,12 +261,9 @@ def imbalanced_cliques(table: CliqueFrequencyTable) -> tuple[ImbalanceEntry, ...
         raise ValueError("imbalance extraction needs a table with original provenance")
     entries: list[ImbalanceEntry] = []
     for k in table.levels():
-        for q, per in table.counts[k].items():
-            values = set(per.values())
-            if len(values) <= 1:
-                continue
-            m = max(values)
-            lo = min(values)
+        for q, per in _uneven(table.counts[k]):
+            m = max(per.values())
+            lo = min(per.values())
             deficits = {y: m - n for y, n in per.items() if n < m}
             entries.append(
                 ImbalanceEntry(

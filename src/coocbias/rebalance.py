@@ -30,7 +30,7 @@ import enum
 import itertools
 from dataclasses import dataclass, replace
 
-from .cliques import Clique, CliqueFrequencyTable, Provenance
+from .cliques import Clique, CliqueFrequencyTable, Provenance, _uneven
 from .dataset import AnnotationRecord, Dataset
 
 __all__ = [
@@ -162,7 +162,7 @@ def rebalance_plan(
         level = counts[k]
         # Only a clique whose original counts differ, or one a planned
         # superset credited, can need records.
-        todo = copied[k].union(q for q, per in original[k].items() if len(set(per.values())) > 1)
+        todo = copied[k].union(q for q, _ in _uneven(original[k]))
         for q in sorted(todo):
             per = level[q]
             m = max(per.values(), default=0)

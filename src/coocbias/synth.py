@@ -101,10 +101,14 @@ class SplitMix64:
 class BiasSpec:
     """Recipe for a biased dataset.
 
-    ``groups`` maps each class to its tied concept group. Groups must be
-    pairwise disjoint and share no name with any class. ``rho`` is the
-    per-record probability of drawing concepts from the tied group;
-    ``concepts_per_record`` bounds the draw size (inclusive).
+    ``groups`` maps each class to its tied concept group, a list or tuple of
+    names. Groups must be pairwise disjoint and share no name with any class.
+    ``rho`` is the per-record probability of drawing concepts from the tied
+    group; ``concepts_per_record`` bounds the draw size (inclusive).
+
+    This is the one validator of a spec, for library callers and the CLI
+    alike: each field gets one check of its type and range, and a bad field
+    raises ValueError naming it.
     """
 
     groups: dict[str, tuple[str, ...]]
@@ -113,33 +117,31 @@ class BiasSpec:
     concepts_per_record: tuple[int, int] = (1, 3)
 
     def __post_init__(self) -> None:
-        if len(self.groups) < 2:
-            raise ValueError("need at least two classes")
-        if not 0.5 < self.rho <= 1.0:
-            raise ValueError(f"rho must be in (0.5, 1.0], got {self.rho}")
-        if self.per_class_n < 1:
-            raise ValueError(f"per_class_n must be >= 1, got {self.per_class_n}")
+        groups, rho, n, cpr = self.groups, self.rho, self.per_class_n, self.concepts_per_record
+        if not isinstance(groups, dict) or len(groups) < 2:
+            raise ValueError("groups must map at least two classes to concept groups")
         seen: dict[str, str] = {}
-        for label, group in self.groups.items():
-            if not group:
-                raise ValueError(f"class {label!r}: empty concept group")
-            if len(set(group)) < len(group):
-                raise ValueError(f"class {label!r}: duplicate concepts in group")
-            for c in group:
+        for label, group in groups.items():
+            names = group if isinstance(label, str) and isinstance(group, (list, tuple)) else ()
+            if not names or not all(isinstance(c, str) for c in names) or len(set(names)) < len(names):
+                raise ValueError(f"groups: class {label!r} needs a non-empty list of distinct concept names")
+            for c in names:
                 if c in seen:
-                    raise ValueError(
-                        f"concept {c!r} appears in groups of both {seen[c]!r} and {label!r}"
-                    )
-                if c in self.groups:
-                    raise ValueError(f"name {c!r} is both a class and a concept")
+                    raise ValueError(f"groups: concept {c!r} appears in groups of both {seen[c]!r} and {label!r}")
+                if c in groups:
+                    raise ValueError(f"groups: name {c!r} is both a class and a concept")
                 seen[c] = label
-        lo, hi = self.concepts_per_record
-        smallest = min(len(g) for g in self.groups.values())
-        if not 1 <= lo <= hi:
-            raise ValueError(f"concepts_per_record must satisfy 1 <= lo <= hi, got {lo, hi}")
-        if hi > smallest:
+        # The comparison also rejects NaN, the infinities and ints too large for a float.
+        if isinstance(rho, bool) or not isinstance(rho, (int, float)) or not 0.5 < rho <= 1.0:
+            raise ValueError(f"rho must be a number in (0.5, 1.0], got {rho!r}")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"per_class_n must be an integer >= 1, got {n!r}")
+        smallest = min(map(len, groups.values()))
+        lo, hi = cpr if isinstance(cpr, (list, tuple)) and len(cpr) == 2 else (0, 0)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (lo, hi)) or not 1 <= lo <= hi <= smallest:
             raise ValueError(
-                f"concepts_per_record upper bound {hi} exceeds smallest group size {smallest}"
+                f"concepts_per_record must be two integers with 1 <= lo <= hi <= {smallest}, "
+                f"the smallest group size; got {cpr!r}"
             )
 
 

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coocbias import BiasSpec, generate
 from coocbias.cli import main
@@ -386,3 +391,132 @@ class TestEntrypoint:
             main(["--version"])
         assert exc.value.code == 0
         assert "coocbias" in capsys.readouterr().out
+
+
+# Names the parser keeps as they are, plus a lone surrogate. The parser strips
+# and NFC-normalizes names, so a spec name such as "b " could come back as a
+# class name; such names are left out here.
+spec_names = st.text(st.sampled_from(["a", "b", "c", "é", "\ud800"]), min_size=1, max_size=2)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | spec_names,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(spec_names, children, max_size=3),
+    max_leaves=8,
+)
+
+
+def capped(value):
+    """A JSON value whose integers ask for at most 40 records per class."""
+    return value % 41 if isinstance(value, int) and value > 40 else value
+
+
+# Per spec key, values near the valid ones; any key may also hold any JSON value.
+near_values = {
+    "concept_groups": st.dictionaries(spec_names, st.lists(spec_names, max_size=3), max_size=4),
+    "rho": st.floats(0.4, 1.1) | st.integers(0, 2),
+    "per_class_n": st.integers(-1, 40),
+    "concepts_per_image": st.lists(st.integers(0, 4), max_size=3),
+    "classes": st.lists(spec_names, max_size=3),
+    "seed": st.integers(),
+}
+
+
+@st.composite
+def spec_objects(draw):
+    """The test SPEC with some keys dropped and others given other values."""
+    obj = dict(SPEC, per_class_n=draw(st.integers(1, 40)))
+    for key in draw(st.sets(st.sampled_from(sorted(near_values)))):
+        value = draw(st.none() | st.tuples(near_values[key] | json_values))
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = capped(value[0]) if key == "per_class_n" else value[0]
+    return obj
+
+
+class TestSynthSpecDecoding:
+    @settings(max_examples=300, deadline=None)
+    @given(spec_objects() | json_values)
+    def test_any_spec_exits_0_or_1(self, tmp_path_factory, obj):
+        tmp = tmp_path_factory.mktemp("spec")
+        spec, out = tmp / "spec.json", tmp / "ds.jsonl"
+        spec.write_text(json.dumps(obj), encoding="utf-8")
+        code = main(["synth", str(spec), "--out", str(out)])
+        assert code in (0, 1)
+        if code == 1:
+            assert not out.exists()
+            return
+        ds, rep = parse_jsonl(out)
+        assert rep.ok, rep.errors
+        assert ds.n == obj["per_class_n"] * len(obj["concept_groups"])
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_lone_surrogate_name_exits_1(self, tmp_path, capsys, to_file):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC).replace('"tree"', '"tree\\ud800"'), encoding="utf-8")
+        out = tmp_path / "ds.jsonl"
+        assert main(["synth", str(spec)] + (["--out", str(out)] if to_file else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: spec: names must be valid Unicode (lone surrogate escape)\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_lists_and_tuples_give_the_same_dataset(self, spec_file, tmp_path):
+        out = tmp_path / "ds.jsonl"
+        assert main(["synth", str(spec_file), "--out", str(out)]) == 0
+        spec = BiasSpec(
+            groups={y: tuple(g) for y, g in SPEC["concept_groups"].items()},
+            rho=SPEC["rho"],
+            per_class_n=SPEC["per_class_n"],
+            concepts_per_record=tuple(SPEC["concepts_per_image"]),
+        )
+        assert out.read_text(encoding="utf-8") == serialize_jsonl(generate(spec, SPEC["seed"]))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def cli(*args):
+    return [sys.executable, "-m", "coocbias", *map(str, args)]
+
+
+class TestRealProcesses:
+    @pytest.fixture
+    def dense_jsonl(self, tmp_path):
+        """Input whose diagnosis report is about 1.3 MB and plan about 0.6 MB."""
+        groups = {y: tuple(f"{y}{i}" for i in range(16)) for y in ("a", "b")}
+        spec = BiasSpec(groups=groups, rho=0.6, per_class_n=200, concepts_per_record=(4, 12))
+        path = tmp_path / "dense.jsonl"
+        path.write_text(serialize_jsonl(generate(spec, 3)), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["diagnose", "sample", "synth"])
+    def test_closed_stdout_exits_2_without_traceback(self, tmp_path, dense_jsonl, command, unbuffered):
+        if command == "synth":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(dict(SPEC, per_class_n=20_000)), encoding="utf-8")
+            args = cli("synth", spec)
+        else:
+            args = cli(command, "--input", dense_jsonl)
+        # Every output here is far larger than a pipe buffer, so the writer
+        # still has bytes to write when the reader goes away.
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=err, env=dict(ENV, PYTHONUNBUFFERED=unbuffered))
+            assert proc.stdout.read(100)
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 2
+        stderr = (tmp_path / "stderr").read_text(encoding="utf-8")
+        assert stderr.startswith("error: cannot write stdout")
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+    def test_synth_piped_into_diagnose(self, spec_file, tmp_path):
+        synth = subprocess.Popen(cli("synth", spec_file), stdout=subprocess.PIPE, env=ENV)
+        diagnosed = subprocess.run(cli("diagnose", "--input", "-"), stdin=synth.stdout, capture_output=True, env=ENV, timeout=60)
+        synth.stdout.close()
+        assert synth.wait(timeout=60) == 0
+        assert diagnosed.returncode == 0, diagnosed.stderr
+        dataset, report = tmp_path / "ds.jsonl", tmp_path / "report.json"
+        assert main(["synth", str(spec_file), "--out", str(dataset)]) == 0
+        assert main(["diagnose", "--input", str(dataset), "--out", str(report)]) == 0
+        assert diagnosed.stdout == report.read_bytes()

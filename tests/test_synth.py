@@ -133,6 +133,30 @@ class TestBiasSpecValidation:
         with pytest.raises(ValueError, match="per_class_n"):
             self.good(per_class_n=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("per_class_n", True),
+            ("per_class_n", 2.5),
+            ("rho", "0.9"),
+            ("rho", True),
+            ("rho", float("nan")),
+            ("rho", float("inf")),
+            ("rho", float("-inf")),
+            ("rho", 10**400),
+            ("groups", {"landbird": "xy", "waterbird": ("a", "b", "c")}),
+            ("groups", {"landbird": ("x", 1), "waterbird": ("a", "b", "c")}),
+            ("groups", [("landbird", ("x",)), ("waterbird", ("y",))]),
+            ("concepts_per_record", (1, 1, 1)),
+            ("concepts_per_record", (1.0, 2)),
+            ("concepts_per_record", 2),
+        ],
+        ids=lambda v: repr(v)[:24],
+    )
+    def test_bad_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            self.good(**{field: value})
+
 
 class TestGenerate:
     def spec(self, rho=0.95, n=200, rng=(1, 3)):
