@@ -27,7 +27,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .dataset import _SURROGATE, Dataset, Vocabulary, load_vocabulary, parse_csv, parse_jsonl, serialize_jsonl
+from .dataset import _SURROGATE, Dataset, Vocabulary, _clean, load_vocabulary, parse_csv, parse_jsonl, serialize_jsonl
 from .graph import build_graph, to_dot, to_json_graph
 from .rebalance import DEFAULT_CLIP_THRESHOLD, PromptTemplate, RebalanceConfig
 from .report import (
@@ -200,9 +200,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
             per_class_n=obj.get("per_class_n"),
             concepts_per_record=obj.get("concepts_per_image", (1, 3)),
         )
-        # The library takes any str, but a lone surrogate cannot be written out.
-        if _SURROGATE.search("".join([*spec.groups, *chain.from_iterable(spec.groups.values())])):
+        # The library takes any str, but a lone surrogate cannot be written out,
+        # and a name the parsers would clean differently reads back as another.
+        names = [*spec.groups, *chain.from_iterable(spec.groups.values())]
+        if _SURROGATE.search("".join(names)):
             raise ValueError("names must be valid Unicode (lone surrogate escape)")
+        rewritten = next((name for name in names if not name or _clean(name) != name), None)
+        if rewritten is not None:
+            raise ValueError(f"names must be non-empty, trimmed and NFC-normalized as parsed; got {rewritten!r}")
     classes = obj.get("classes")
     if classes is not None and not (
         isinstance(classes, list) and all(isinstance(c, str) for c in classes) and sorted(classes) == sorted(spec.groups)

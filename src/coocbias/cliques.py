@@ -44,6 +44,21 @@ __all__ = [
 Clique = tuple[str, ...]
 
 
+def _check_search(k_max: int, relax_fraction: float | None) -> None:
+    """The one check of ``k_max`` (an int >= 1) and ``relax_fraction`` (None or a
+    number in (0, 1]), neither a bool; every entry point and DiagnosisConfig run it."""
+    if isinstance(k_max, bool) or not isinstance(k_max, int):
+        raise ValueError(f"k_max must be an integer, got {k_max!r}")
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if relax_fraction is None:
+        return
+    if isinstance(relax_fraction, bool) or not isinstance(relax_fraction, (int, float)):
+        raise ValueError(f"relax_fraction must be a number, got {relax_fraction!r}")
+    if not 0.0 < relax_fraction <= 1.0:
+        raise ValueError(f"relax_fraction must be in (0, 1], got {relax_fraction}")
+
+
 def _search(
     graph: CooccurrenceGraph, labels: int, relax_fraction: float | None, k_max: int
 ) -> dict[int, tuple[Clique, ...]]:
@@ -54,8 +69,6 @@ def _search(
     and the classes adjacent to every member, and stops once too few remain.
     Each clique is produced once, and each level comes out sorted.
     """
-    if relax_fraction is not None and not 0.0 < relax_fraction <= 1.0:
-        raise ValueError(f"relax_fraction must be in (0, 1], got {relax_fraction}")
     n = labels.bit_count()
     needed = n if relax_fraction is None else math.ceil(relax_fraction * n)
     adjacency = graph.adjacency
@@ -114,8 +127,7 @@ def enumerate_class_cliques(
     Only the arguments are checked here; the cliques are listed when the
     result's ``by_level`` is first read.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_search(k_max, None)
     if label not in graph.classes:
         raise ValueError(f"unknown class: {label!r}")
     return ClassCliqueSet(label=label, k_max=k_max, graph=graph)
@@ -142,6 +154,7 @@ def common_clique_set(
     labels = [s.label for s in per_class]
     if len(set(labels)) < len(labels):
         raise ValueError("duplicate class in clique sets")
+    _check_search(per_class[0].k_max, relax_fraction)
     bits = sum(1 << graph.classes.index(y) for y in labels)  # labels are distinct
     return _search(graph, bits, relax_fraction, per_class[0].k_max)
 
@@ -151,8 +164,7 @@ def common_cliques(
 ) -> dict[int, tuple[Clique, ...]]:
     """Cliques shared across all of the graph's classes, level by level: what
     ``common_clique_set`` finds over one set per class, without those sets."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_search(k_max, relax_fraction)
     return _search(graph, (1 << len(graph.classes)) - 1, relax_fraction, k_max)
 
 

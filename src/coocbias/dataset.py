@@ -140,14 +140,30 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Optional explicit name lists; record names must be members."""
+    """Optional explicit name lists; record names must be members.
+
+    Building one is its one check: the two lists share no name, and no name
+    holds a lone surrogate. Names are used as given; ``load_vocabulary``
+    cleans them first.
+    """
 
     classes: tuple[str, ...]
     concepts: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        overlap = set(self.classes) & set(self.concepts)
+        if overlap:
+            raise ValueError(f"vocabulary: classes and concepts overlap: {sorted(overlap)!r}")
+        if _SURROGATE.search("".join([*self.classes, *self.concepts])):
+            raise ValueError("vocabulary: names must be valid Unicode (lone surrogate escape)")
+
 
 def load_vocabulary(data: Source | dict) -> Vocabulary:
-    """Load a vocabulary from a JSON object ``{"classes": [...], "concepts": [...]}``."""
+    """Load a vocabulary from a JSON object ``{"classes": [...], "concepts": [...]}``.
+
+    Decodes the object and cleans each name as the parsers do, dropping empty
+    ones; the ``Vocabulary`` it builds checks the names.
+    """
     if not isinstance(data, dict):
         try:
             data = json.loads(_source_text(data))
@@ -161,11 +177,6 @@ def load_vocabulary(data: Source | dict) -> Vocabulary:
             raise ValueError(f"vocabulary.{key}: expected an array of strings")
     classes = tuple(sorted({_clean(v) for v in data["classes"]} - {""}))
     concepts = tuple(sorted({_clean(v) for v in data["concepts"]} - {""}))
-    overlap = set(classes) & set(concepts)
-    if overlap:
-        raise ValueError(f"vocabulary: classes and concepts overlap: {sorted(overlap)!r}")
-    if _SURROGATE.search("".join(classes + concepts)):
-        raise ValueError("vocabulary: names must be valid Unicode (lone surrogate escape)")
     return Vocabulary(classes=classes, concepts=concepts)
 
 
@@ -399,11 +410,6 @@ def _finalize(
 
     classes = tuple(sorted(labels))
     concepts = tuple(sorted(set(vocab.concepts) if vocab is not None else concept_names))
-    # Only a Vocabulary built directly (not loaded) can still overlap here.
-    overlap = set(classes).intersection(concepts)
-    if overlap:
-        report.error("", "class-concept-collision", f"class/concept collision: {sorted(overlap)!r}")
-        return None, report
     return Dataset(records=tuple(records), classes=classes, concepts=concepts), report
 
 

@@ -76,14 +76,22 @@ class CooccurrenceGraph:
         return self.adjacency[self._position(name)].bit_count()
 
 
+def _check_min_support(min_support: int) -> None:
+    """The one check of ``min_support``, an int >= 1 and not a bool; ``build_graph``
+    and DiagnosisConfig run it."""
+    if isinstance(min_support, bool) or not isinstance(min_support, int):
+        raise ValueError(f"min_support must be an integer, got {min_support!r}")
+    if min_support < 1:
+        raise ValueError(f"min_support must be >= 1, got {min_support}")
+
+
 def build_graph(dataset: Dataset, min_support: int = 1) -> CooccurrenceGraph:
     """Weigh each node pair by a popcount over the record bitsets ``dataset.masks``.
 
     Weight = ``(masks[a] & masks[b]).bit_count()``: C*(C-1)/2 popcounts over
     n-bit sets for C names and n records, however many concepts a record has.
     """
-    if min_support < 1:
-        raise ValueError(f"min_support must be >= 1, got {min_support}")
+    _check_min_support(min_support)
     masks = dataset.masks
     nodes = [(name, masks[name]) for name in dataset.classes + dataset.concepts]
     weights: dict[tuple[str, str], int] = {}

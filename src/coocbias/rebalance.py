@@ -10,12 +10,10 @@ settled are exactly the remainder.
 
 The walk visits only the cliques that can need records: those whose original
 counts differ and those a planned superset credited, in the same order. The
-adjusted table copies each level dict shallowly and a per-class dict only when
-the plan changes that clique, so every other clique's dict is shared with the
-input table; callers who mutate the adjusted counts work on ``.copy()``. On a
-dense table (522k common cliques, 6,750 of them imbalanced) planning takes
-0.28-0.38 s instead of 1.7-1.8 s for the earlier copy-everything walk (2-vCPU
-VM, CPython 3.11.7).
+plan owns a copy of the per-class counts of each clique it changes, made from
+the input table on first use; the adjusted table is each input level with
+those copies laid over it. Every other clique's dict is shared with the input
+table, so callers who mutate the adjusted counts work on ``.copy()``.
 
 Each query carries a ready-to-use text prompt naming the class and the
 clique's concepts, plus a similarity threshold for filtering generated images
@@ -77,6 +75,8 @@ def render_prompt(template: PromptTemplate, label: str, concepts: Clique) -> str
         else:
             body = ", ".join(names[:-1]) + f", and {names[-1]}"
         return f"a photo of {body}"
+    if template is not PromptTemplate.IMAGE:
+        raise ValueError(f"unknown prompt template: {template!r}")
     if len(names) == 1:
         return f"An image of a {names[0]}"
     head = f"An image of a {names[0]} and a {names[1]}"
@@ -115,17 +115,32 @@ class GenerationPlan:
 
 @dataclass(frozen=True)
 class RebalanceConfig:
-    """Planner knobs; defaults match the common single-shot diagnosis run."""
+    """Planner knobs; defaults match the common single-shot diagnosis run.
+
+    Building one checks each field's type and range: ``template`` a
+    ``PromptTemplate``, ``clip_threshold`` a number (not a bool) in [0, 1],
+    ``per_query_cap`` None or an int (not a bool) >= 1. A bad field raises
+    ValueError naming it.
+    """
 
     template: PromptTemplate = PromptTemplate.PHOTO
     clip_threshold: float = DEFAULT_CLIP_THRESHOLD
     per_query_cap: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.clip_threshold <= 1.0:
-            raise ValueError(f"clip_threshold out of range: {self.clip_threshold} (expected 0 to 1)")
-        if self.per_query_cap is not None and self.per_query_cap < 1:
-            raise ValueError(f"per_query_cap must be >= 1, got {self.per_query_cap}")
+        template, clip, cap = self.template, self.clip_threshold, self.per_query_cap
+        if not isinstance(template, PromptTemplate):
+            raise ValueError(f"template must be a PromptTemplate, got {template!r}")
+        if isinstance(clip, bool) or not isinstance(clip, (int, float)):
+            raise ValueError(f"clip_threshold must be a number, got {clip!r}")
+        if not 0.0 <= clip <= 1.0:
+            raise ValueError(f"clip_threshold out of range: {clip} (expected 0 to 1)")
+        if cap is None:
+            return
+        if isinstance(cap, bool) or not isinstance(cap, int):
+            raise ValueError(f"per_query_cap must be an integer, got {cap!r}")
+        if cap < 1:
+            raise ValueError(f"per_query_cap must be >= 1, got {cap}")
 
 
 def rebalance_plan(
@@ -139,57 +154,52 @@ def rebalance_plan(
     balanced, so re-planning yields nothing; the cap, when hit, breaks that
     guarantee and is flagged on the query and the plan.
 
-    The adjusted table has its own level dicts, but a clique the plan leaves
-    unchanged keeps the input table's per-class dict: ``adjusted.counts[k][q]
-    is table.counts[k][q]``. A caller that mutates the adjusted counts should
-    work on ``adjusted.copy()``.
+    Each level of the adjusted table is the input level, in the same order,
+    with the plan's copies of the cliques it changes laid over it; a clique
+    the plan leaves unchanged keeps the input table's per-class dict:
+    ``adjusted.counts[k][q] is table.counts[k][q]``. A caller that mutates the
+    adjusted counts should work on ``adjusted.copy()``.
     """
     if table.provenance is Provenance.ADJUSTED:
         raise ValueError("already balanced: the table's counts include planned records")
 
     original = table.counts
-    counts = {k: dict(level) for k, level in original.items()}
-    # Per level, the cliques whose dict in ``counts`` is a copy owned here:
-    # those a planned superset credited and those planned themselves.
-    copied: dict[int, set[Clique]] = {k: set() for k in counts}
+    # Per level, the plan's own copies of the cliques it changes.
+    owned: dict[int, dict[Clique, dict[str, int]]] = {k: {} for k in original}
+
+    def own(k: int, q: Clique) -> dict[str, int]:
+        """The plan's copy of clique q's counts, made from the input on first use."""
+        per = owned[k].get(q)
+        if per is None:
+            per = owned[k][q] = dict(original[k][q])
+        return per
+
     cap = config.per_query_cap
     queries: list[GenerationQuery] = []
     per_class: dict[str, int] = {}
     per_level: dict[int, int] = {}
     total = 0
     truncated = False
-    for k in sorted(counts, reverse=True):
-        level = counts[k]
+    for k in sorted(original, reverse=True):
         # Only a clique whose original counts differ, or one a planned
-        # superset credited, can need records.
-        todo = copied[k].union(q for q, _ in _uneven(original[k]))
-        for q in sorted(todo):
-            per = level[q]
+        # superset credited, can need records; the plan owns both kinds.
+        for q in sorted(owned[k].keys() | (q for q, _ in _uneven(original[k]))):
+            per = own(k, q)
             m = max(per.values(), default=0)
             short = [(label, m - per[label]) for label in sorted(per) if per[label] < m]
             if not short:
                 continue
-            if q not in copied[k]:
-                per = level[q] = dict(per)
-                copied[k].add(q)
             # The prompt names only the concepts, so one serves every class.
             prompt = render_prompt(config.template, short[0][0], q)
             # A planned record holds every concept of q, so each proper
             # subset present at a lower level gains the same records.
-            subsets = []
-            for size in range(1, k):
-                lower = counts.get(size)
-                if not lower:
-                    continue
-                owned = copied[size]
-                for sub in itertools.combinations(q, size):
-                    sub_per = lower.get(sub)
-                    if sub_per is None:
-                        continue
-                    if sub not in owned:
-                        sub_per = lower[sub] = dict(sub_per)
-                        owned.add(sub)
-                    subsets.append(sub_per)
+            subsets = [
+                own(size, sub)
+                for size in range(1, k)
+                if original.get(size)
+                for sub in itertools.combinations(q, size)
+                if sub in original[size]
+            ]
             for label, need in short:
                 capped = cap is not None and need > cap
                 count = cap if capped else need
@@ -211,6 +221,8 @@ def rebalance_plan(
                 for sub_per in subsets:
                     sub_per[label] += count
 
+    # owned[k] holds only keys of original[k], so the overlay keeps its key order.
+    counts = {k: level | owned[k] for k, level in original.items()}
     adjusted = CliqueFrequencyTable(classes=table.classes, counts=counts, provenance=Provenance.ADJUSTED)
     plan = GenerationPlan(
         queries=tuple(queries),

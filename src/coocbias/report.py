@@ -39,12 +39,13 @@ from . import __version__
 from .cliques import (
     CliqueFrequencyTable,
     ImbalanceEntry,
+    _check_search,
     common_cliques,
     frequency_table,
     imbalanced_cliques,
 )
 from .dataset import Dataset
-from .graph import CooccurrenceGraph, build_graph
+from .graph import CooccurrenceGraph, _check_min_support, build_graph
 from .rebalance import GenerationPlan, RebalanceConfig, rebalance_plan
 
 __all__ = [
@@ -62,7 +63,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiagnosisConfig:
-    """Everything that influences a diagnosis, echoed into the report."""
+    """Everything that influences a diagnosis, echoed into the report.
+
+    Building one runs the stages' own checks of ``min_support`` (``graph``)
+    and of ``k_max`` and ``relax_fraction`` (``cliques``); ``rebalance`` must
+    be a ``RebalanceConfig``. A bad field raises ValueError naming it.
+    """
 
     min_support: int = 1
     k_max: int = 4
@@ -70,20 +76,19 @@ class DiagnosisConfig:
     rebalance: RebalanceConfig = RebalanceConfig()
 
     def __post_init__(self) -> None:
-        if self.min_support < 1:
-            raise ValueError(f"min_support must be >= 1, got {self.min_support}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.relax_fraction is not None and not 0.0 < self.relax_fraction <= 1.0:
-            raise ValueError(f"relax_fraction must be in (0, 1], got {self.relax_fraction}")
+        _check_min_support(self.min_support)
+        _check_search(self.k_max, self.relax_fraction)
+        if not isinstance(self.rebalance, RebalanceConfig):
+            raise ValueError(f"rebalance must be a RebalanceConfig, got {self.rebalance!r}")
 
 
 @dataclass(frozen=True)
 class Diagnosis:
     """All intermediate and final artifacts of one diagnosis run.
 
-    ``adjusted`` shares the per-class dict of every clique the plan leaves
-    unchanged with ``table``; mutate ``adjusted.copy()``, not ``adjusted``.
+    ``adjusted`` is ``table`` with the plan's own copies of the cliques it
+    changes laid over each level, so it shares the per-class dict of every
+    other clique with ``table``; mutate ``adjusted.copy()``, not ``adjusted``.
     """
 
     config: DiagnosisConfig

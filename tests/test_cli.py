@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,20 @@ def spec_objects(draw):
     return obj
 
 
+# Raw names, a fifth to a quarter of them ones the parser trims, NFC-normalizes
+# or drops; no class name equals a concept name until cleaned ("b" and "b ").
+CLASS_NAMES = ["a", "b", "c", "\u00e9"] * 3 + ["a ", "e\u0301", ""]
+CONCEPT_NAMES = ["x", "y", "z", "\u00f6"] * 3 + [" x", "y\t", "b ", "o\u0308"]
+
+
+@st.composite
+def rewritable_groups(draw):
+    """Concept groups BiasSpec accepts: disjoint, one or two names per class."""
+    classes = draw(st.lists(st.sampled_from(CLASS_NAMES), min_size=2, max_size=3, unique=True))
+    pool = draw(st.lists(st.sampled_from(CONCEPT_NAMES), min_size=len(classes), max_size=2 * len(classes), unique=True))
+    return {label: pool[i :: len(classes)] for i, label in enumerate(classes)}
+
+
 class TestSynthSpecDecoding:
     @settings(max_examples=300, deadline=None)
     @given(spec_objects() | json_values)
@@ -459,6 +474,41 @@ class TestSynthSpecDecoding:
         assert captured.err == "error: spec: names must be valid Unicode (lone surrogate escape)\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "groups, name",
+        [
+            ({"a": ["b "], "b": ["c"]}, "b "),  # "b " parses as the class "b"
+            ({"a ": ["x"], "a": ["y"]}, "a "),  # the two classes parse as one
+            ({"a": ["x"], "": ["y"]}, ""),
+            ({"a": ["e\u0301"], "b": ["y"]}, "e\u0301"),  # parses as "\u00e9"
+        ],
+        ids=["concept-is-class", "classes-merge", "empty", "not-nfc"],
+    )
+    def test_name_the_parser_rewrites_exits_1(self, tmp_path, capsys, groups, name):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"concept_groups": groups, "rho": 0.9, "per_class_n": 2, "concepts_per_image": [1, 1]}), encoding="utf-8")
+        out = tmp_path / "ds.jsonl"
+        assert main(["synth", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: spec: names must be non-empty, trimmed and NFC-normalized as parsed; got {name!r}\n"
+        )
+        assert not out.exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(rewritable_groups())
+    def test_exits_0_exactly_when_names_parse_back_unchanged(self, tmp_path_factory, groups):
+        tmp = tmp_path_factory.mktemp("spec")
+        spec, out = tmp / "spec.json", tmp / "ds.jsonl"
+        obj = {"concept_groups": groups, "rho": 0.9, "per_class_n": 3, "concepts_per_image": [1, 1]}
+        spec.write_text(json.dumps(obj), encoding="utf-8")
+        names = [*groups, *(c for group in groups.values() for c in group)]
+        kept = all(name and unicodedata.normalize("NFC", name).strip() == name for name in names)
+        assert main(["synth", str(spec), "--out", str(out)]) == (0 if kept else 1)
+        if kept:
+            ds, rep = parse_jsonl(out)
+            assert rep.ok, rep.errors
+            assert ds == generate(BiasSpec(groups, 0.9, 3, (1, 1)), 0)
 
     def test_lists_and_tuples_give_the_same_dataset(self, spec_file, tmp_path):
         out = tmp_path / "ds.jsonl"

@@ -280,10 +280,13 @@ class TestVocabularyFile:
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_directly_built_overlapping_vocabulary_is_reported(self, strict):
-        vocab = Vocabulary(classes=("A",), concepts=("A", "x"))
-        ds, rep = parse_jsonl(line(), strict=strict, vocabulary=vocab)
-        assert ds is None
-        assert [e.rule for e in rep.errors] == ["class-concept-collision"]
+        # Building the Vocabulary is the one overlap check, so no parse sees one.
+        with pytest.raises(ValueError, match=r"vocabulary: classes and concepts overlap: \['A'\]"):
+            parse_jsonl(line(), strict=strict, vocabulary=Vocabulary(classes=("A",), concepts=("A", "x")))
+
+    def test_directly_built_vocabulary_with_lone_surrogate_rejected(self):
+        with pytest.raises(ValueError, match="vocabulary: names must be valid Unicode"):
+            Vocabulary(classes=("A",), concepts=("x", "\udfff"))
 
     def test_lone_surrogate_name_rejected(self):
         with pytest.raises(ValueError, match="surrogate"):

@@ -7,6 +7,7 @@ import pytest
 import coocbias.cliques
 from coocbias.cliques import common_clique_set, common_cliques, enumerate_class_cliques
 from coocbias.graph import build_graph
+from coocbias.rebalance import RebalanceConfig
 from coocbias.report import DiagnosisConfig, diagnose
 from support import d4_dataset, oracle_common_cliques, oracle_relaxed_common_cliques, random_dataset
 
@@ -49,3 +50,55 @@ def test_common_cliques_rejects_what_the_config_rejects(k_max, relax):
     with pytest.raises(ValueError) as search_error:
         common_cliques(graph, k_max, relax)
     assert str(search_error.value) == str(config_error.value)
+
+
+def _d4_graph():
+    return build_graph(d4_dataset())
+
+
+# Per field, every config class and stage function that takes it.
+TAKERS = {
+    "min_support": {
+        "DiagnosisConfig": lambda v: DiagnosisConfig(min_support=v),
+        "build_graph": lambda v: build_graph(d4_dataset(), min_support=v),
+    },
+    "k_max": {
+        "DiagnosisConfig": lambda v: DiagnosisConfig(k_max=v),
+        "enumerate_class_cliques": lambda v: enumerate_class_cliques(_d4_graph(), "A", v),
+        "common_cliques": lambda v: common_cliques(_d4_graph(), v),
+    },
+    "relax_fraction": {
+        "DiagnosisConfig": lambda v: DiagnosisConfig(relax_fraction=v),
+        "common_clique_set": lambda v: common_clique_set(
+            [enumerate_class_cliques(_d4_graph(), y, 2) for y in ("A", "B")], v
+        ),
+        "common_cliques": lambda v: common_cliques(_d4_graph(), 2, v),
+    },
+    "rebalance": {"DiagnosisConfig": lambda v: DiagnosisConfig(rebalance=v)},
+    "template": {"RebalanceConfig": lambda v: RebalanceConfig(template=v)},
+    "clip_threshold": {"RebalanceConfig": lambda v: RebalanceConfig(clip_threshold=v)},
+    "per_query_cap": {"RebalanceConfig": lambda v: RebalanceConfig(per_query_cap=v)},
+}
+BAD_TYPES = {
+    "min_support": [1.5, True, "2"],
+    "k_max": [2.5, True, None],
+    "relax_fraction": ["0.5", True],
+    "rebalance": [None],
+    "template": ["photo"],
+    "clip_threshold": [True, "0.6", None],
+    "per_query_cap": [2.5, True],
+}
+
+
+@pytest.mark.parametrize(
+    "take, field, value",
+    [
+        pytest.param(take, field, value, id=f"{where}-{field}={value!r}")
+        for field, values in BAD_TYPES.items()
+        for value in values
+        for where, take in TAKERS[field].items()
+    ],
+)
+def test_wrong_type_is_a_value_error_naming_the_field(take, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        take(value)

@@ -1,7 +1,10 @@
 """The public names the package and its modules export."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +29,19 @@ def test_package_exports_each_library_name_once():
     declared = {"__version__"}.union(*(m.__all__ for m in LIBRARY_MODULES))
     assert set(coocbias.__all__) == declared
     assert len(coocbias.__all__) == len(set(coocbias.__all__))
+
+
+def test_runtime_imports_only_the_standard_library():
+    root = Path(coocbias.__file__).parent
+    outside = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = {name.split(".")[0] for name in names}
+            outside += [(path.name, name) for name in sorted(top - {"coocbias"} - sys.stdlib_module_names)]
+    assert outside == []

@@ -1,10 +1,13 @@
 """Prompt rendering, plan construction, the update step, virtual application."""
 
+import copy
 import dataclasses
+import itertools
 import weakref
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coocbias.cliques import (
     CliqueFrequencyTable,
@@ -76,6 +79,13 @@ class TestPrompts:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             render_prompt(PromptTemplate.PHOTO, "Y", ())
+
+    @pytest.mark.parametrize("template", ["photo", "image", None])
+    def test_non_member_template_rejected(self, template):
+        with pytest.raises(ValueError, match="template"):
+            render_prompt(template, "Y", ("x",))
+        with pytest.raises(ValueError, match="^template must be a PromptTemplate"):
+            RebalanceConfig(template=template)
 
 
 class TestPlanOnD4:
@@ -357,6 +367,44 @@ class TestCopyOnWrite:
                 for label in per:
                     per[label] = -1
         assert all(n >= 0 for level in table.counts.values() for per in level.values() for n in per.values())
+
+
+CONCEPTS = "pqrst"
+
+
+@st.composite
+def hand_built_tables(draw):
+    """Tables no dataset yields: levels in any order or missing, cliques whose
+    subsets are absent from their levels, classes in no sorted order."""
+    classes = draw(st.lists(st.sampled_from("DCBA"), max_size=4, unique=True))
+    counts = {}
+    for k in draw(st.lists(st.integers(1, 4), max_size=4, unique=True)):
+        cliques = draw(st.lists(st.sampled_from(list(itertools.combinations(CONCEPTS, k))), max_size=5, unique=True))
+        counts[k] = {q: {y: draw(st.integers(0, 4)) for y in draw(st.permutations(classes))} for q in cliques}
+    return CliqueFrequencyTable(classes=tuple(classes), counts=counts)
+
+
+class TestHandBuiltTables:
+    """The planner's branches for a missing lower level and an absent subset."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_tables())
+    def test_matches_reference_and_shares_only_unchanged_dicts(self, table):
+        before = copy.deepcopy(table.counts)
+        levels = {k: (level, list(level.items())) for k, level in table.counts.items()}
+        for cap in (None, 2):
+            config = RebalanceConfig(per_query_cap=cap)
+            plan, adjusted = rebalance_plan(table, config)
+            assert (plan, adjusted) == reference_plan(table, config)
+            assert list(adjusted.counts) == list(table.counts)
+            for k, level in table.counts.items():
+                assert list(adjusted.counts[k]) == list(level)
+                for q, per in level.items():
+                    assert (adjusted.counts[k][q] is per) is (adjusted.counts[k][q] == per)
+        assert table.counts == before and table.provenance is Provenance.ORIGINAL
+        for k, (level, items) in levels.items():
+            assert table.counts[k] is level
+            assert all(level[q] is per for q, per in items)
 
 
 class TestSlottedQuery:
