@@ -99,12 +99,19 @@ class ClassCliqueSet:
 
     ``by_level[k]`` lists the size-k cliques in lexicographic order. Levels
     run from 1 to ``k_max`` inclusive; a level with no cliques is an empty
-    tuple. ``by_level`` is computed from ``graph`` on first access.
+    tuple. Building one checks ``k_max`` as every entry point does and that
+    ``label`` is one of the graph's classes, raising ValueError otherwise;
+    ``by_level`` is computed from ``graph`` on first access.
     """
 
     label: str
     k_max: int
     graph: CooccurrenceGraph = field(repr=False)
+
+    def __post_init__(self) -> None:
+        _check_search(self.k_max, None)
+        if self.label not in self.graph.classes:
+            raise ValueError(f"unknown class: {self.label!r}")
 
     @cached_property
     def by_level(self) -> dict[int, tuple[Clique, ...]]:
@@ -124,12 +131,9 @@ def enumerate_class_cliques(
 ) -> ClassCliqueSet:
     """Concept cliques around one class, by size, up to k_max.
 
-    Only the arguments are checked here; the cliques are listed when the
-    result's ``by_level`` is first read.
+    The ``ClassCliqueSet`` checks the arguments when built; the cliques are
+    listed when its ``by_level`` is first read.
     """
-    _check_search(k_max, None)
-    if label not in graph.classes:
-        raise ValueError(f"unknown class: {label!r}")
     return ClassCliqueSet(label=label, k_max=k_max, graph=graph)
 
 
@@ -203,8 +207,15 @@ class CliqueFrequencyTable:
         )
 
 
+def _not_str(clique: Clique) -> None:
+    """Reject a str, which would otherwise be read as a clique of its characters."""
+    if isinstance(clique, str):
+        raise ValueError(f"a clique is a tuple of concept names, not a str: {clique!r}")
+
+
 def cooccurrence_count(dataset: Dataset, label: str, clique: Clique) -> int:
     """Number of records with the given label containing every clique concept."""
+    _not_str(clique)
     if label not in set(dataset.classes):
         raise ValueError(f"unknown class: {label!r}")
     if not clique:

@@ -118,17 +118,25 @@ class Dataset:
         """Build a dataset from already-normalized records.
 
         The strict programmatic entry point: after checking what parsing
-        guarantees (non-empty id and label, sorted duplicate-free concepts),
-        it runs the parsers' validation in strict mode and raises ValueError
-        with the first error, citing 1-based record positions.
+        guarantees (a non-empty ``str`` id and label, concepts a sorted
+        duplicate-free tuple of ``str``), it runs the parsers' validation in
+        strict mode and raises ValueError with the first error, citing 1-based
+        record positions.
         """
         records = list(records)
         checked: set[tuple[str, ...]] = set()
         for r in records:
+            if not isinstance(r.id, str) or not isinstance(r.label, str):
+                raise ValueError(f"record id and label must be strings: {r!r}")
             if not r.id or not r.label:
                 raise ValueError(f"record with empty id or label: {r!r}")
-            if isinstance(r.concepts, tuple) and r.concepts in checked:
-                continue
+            try:
+                if r.concepts in checked:
+                    continue
+            except TypeError:  # a list, or a tuple holding an unhashable concept
+                pass
+            if not isinstance(r.concepts, tuple) or not all(isinstance(c, str) for c in r.concepts):
+                raise ValueError(f"record {r.id!r}: concepts must be a tuple of strings")
             if tuple(sorted(set(r.concepts))) != r.concepts:
                 raise ValueError(f"record {r.id!r}: concepts must be sorted and duplicate-free")
             checked.add(r.concepts)
@@ -142,15 +150,19 @@ class Dataset:
 class Vocabulary:
     """Optional explicit name lists; record names must be members.
 
-    Building one is its one check: the two lists share no name, and no name
-    holds a lone surrogate. Names are used as given; ``load_vocabulary``
-    cleans them first.
+    Building one is its one check: each list is a tuple or list of ``str``
+    (a ``str`` itself is not), the two lists share no name, and no name holds
+    a lone surrogate. Names are used as given; ``load_vocabulary`` cleans them
+    first.
     """
 
     classes: tuple[str, ...]
     concepts: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        for key, names in (("classes", self.classes), ("concepts", self.concepts)):
+            if not isinstance(names, (tuple, list)) or not all(isinstance(v, str) for v in names):
+                raise ValueError(f"vocabulary.{key}: expected a tuple or list of strings")
         overlap = set(self.classes) & set(self.concepts)
         if overlap:
             raise ValueError(f"vocabulary: classes and concepts overlap: {sorted(overlap)!r}")

@@ -27,8 +27,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .cliques import Clique, CliqueFrequencyTable, Provenance, _uneven
+from .cliques import Clique, CliqueFrequencyTable, Provenance, _not_str, _uneven
 from .dataset import AnnotationRecord, Dataset
 
 __all__ = [
@@ -62,8 +63,10 @@ def render_prompt(template: PromptTemplate, label: str, concepts: Clique) -> str
             euphonic adjustment is attempted.
 
     The class label never appears in the prompt; concepts are rendered in
-    canonical (sorted) order. No trailing period.
+    canonical (sorted) order. No trailing period. A str is not a concept set
+    and raises ValueError.
     """
+    _not_str(concepts)
     names = tuple(sorted(concepts))
     if not names:
         raise ValueError("cannot render a prompt for an empty concept set")
@@ -98,19 +101,39 @@ class GenerationQuery:
 
 @dataclass(frozen=True)
 class GenerationPlan:
-    """Ordered query list plus bookkeeping totals.
+    """Ordered query list; every total is read from the queries.
 
     Queries are sorted by descending clique size, then clique, then class,
-    which coincides with the order the planner emits them in. ``truncated``
-    is set when any query hit the per-query cap; the per-class and per-level
-    totals (level = clique size) summarize the plan for reporting.
+    which coincides with the order the planner emits them in. A plan compares
+    and hashes by its queries. ``truncated`` is set when any query hit the
+    per-query cap; the per-class and per-level totals (level = clique size)
+    summarize the plan for reporting, keyed in order of first appearance.
+    Each total is computed on first read.
     """
 
     queries: tuple[GenerationQuery, ...]
-    total_count: int
-    truncated: bool
-    per_class: dict[str, int]
-    per_level: dict[int, int]
+
+    @cached_property
+    def total_count(self) -> int:
+        return sum(q.count for q in self.queries)
+
+    @cached_property
+    def truncated(self) -> bool:
+        return any(q.capped for q in self.queries)
+
+    @cached_property
+    def per_class(self) -> dict[str, int]:
+        totals: dict[str, int] = {}
+        for q in self.queries:
+            totals[q.label] = totals.get(q.label, 0) + q.count
+        return totals
+
+    @cached_property
+    def per_level(self) -> dict[int, int]:
+        totals: dict[int, int] = {}
+        for q in self.queries:
+            totals[len(q.concepts)] = totals.get(len(q.concepts), 0) + q.count
+        return totals
 
 
 @dataclass(frozen=True)
@@ -176,10 +199,6 @@ def rebalance_plan(
 
     cap = config.per_query_cap
     queries: list[GenerationQuery] = []
-    per_class: dict[str, int] = {}
-    per_level: dict[int, int] = {}
-    total = 0
-    truncated = False
     for k in sorted(original, reverse=True):
         # Only a clique whose original counts differ, or one a planned
         # superset credited, can need records; the plan owns both kinds.
@@ -203,7 +222,6 @@ def rebalance_plan(
             for label, need in short:
                 capped = cap is not None and need > cap
                 count = cap if capped else need
-                truncated = truncated or capped
                 queries.append(
                     GenerationQuery(
                         label=label,
@@ -214,9 +232,6 @@ def rebalance_plan(
                         capped=capped,
                     )
                 )
-                per_class[label] = per_class.get(label, 0) + count
-                per_level[len(q)] = per_level.get(len(q), 0) + count
-                total += count
                 per[label] += count
                 for sub_per in subsets:
                     sub_per[label] += count
@@ -224,14 +239,7 @@ def rebalance_plan(
     # owned[k] holds only keys of original[k], so the overlay keeps its key order.
     counts = {k: level | owned[k] for k, level in original.items()}
     adjusted = CliqueFrequencyTable(classes=table.classes, counts=counts, provenance=Provenance.ADJUSTED)
-    plan = GenerationPlan(
-        queries=tuple(queries),
-        total_count=total,
-        truncated=truncated,
-        per_class=per_class,
-        per_level=per_level,
-    )
-    return plan, adjusted
+    return GenerationPlan(tuple(queries)), adjusted
 
 
 def apply_virtual(dataset: Dataset, plan: GenerationPlan) -> Dataset:

@@ -17,8 +17,8 @@ whole-integer operation: shift and xor, mask every lane back to 64 bits,
 then multiply, which cannot carry out of a 128-bit lane. An explicit
 little-endian ``struct`` format unpacks the batch, so the bytes are the same
 on any platform. A batch costs about 60 µs, 0.12 µs per output, and a draw
-reads the next output with one step of a C iterator; one output of the
-unbatched arithmetic took 0.72 µs (2-vCPU VM, CPython 3.11.7).
+reads the next output with one step of a C iterator (2-vCPU VM, CPython
+3.11.7).
 """
 
 from __future__ import annotations

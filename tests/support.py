@@ -318,7 +318,7 @@ def reference_finalize(candidates, report, strict: bool, vocab=None, unit: str =
 # again for every query, the direct reading of the planning rule.
 def reference_plan(
     table: CliqueFrequencyTable, config: RebalanceConfig = RebalanceConfig()
-) -> tuple[GenerationPlan, CliqueFrequencyTable]:
+) -> tuple[GenerationPlan, CliqueFrequencyTable, tuple]:
     """Plan the synthetic records that even out every clique's class counts.
 
     Returns the plan and the adjusted table (original + planned counts,
@@ -326,6 +326,10 @@ def reference_plan(
     modified. A second pass over the adjusted counts would find every clique
     balanced, so re-planning yields nothing; the cap, when hit, breaks that
     guarantee and is flagged on the query and the plan.
+
+    Also returns the plan's totals, summed here as the queries are made:
+    ``(total_count, truncated, per_class items, per_level items)``, the items
+    in query order.
     """
     if table.provenance is Provenance.ADJUSTED:
         raise ValueError("already balanced: the table's counts include planned records")
@@ -373,14 +377,8 @@ def reference_plan(
         per_class[query.label] = per_class.get(query.label, 0) + query.count
         size = len(query.concepts)
         per_level[size] = per_level.get(size, 0) + query.count
-    plan = GenerationPlan(
-        queries=tuple(queries),
-        total_count=sum(query.count for query in queries),
-        truncated=truncated,
-        per_class=per_class,
-        per_level=per_level,
-    )
-    return plan, adjusted
+    totals = (sum(query.count for query in queries), truncated, list(per_class.items()), list(per_level.items()))
+    return GenerationPlan(queries=tuple(queries)), adjusted, totals
 
 
 # Reference generator and writers: the one-draw-at-a-time SplitMix64 and the

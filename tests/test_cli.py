@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from coocbias import BiasSpec, generate
 from coocbias.cli import main
 from coocbias.dataset import parse_jsonl, serialize_jsonl
 from coocbias.report import _BATCH
-from support import D4_JSONL
+from support import D4_CSV, D4_JSONL
 
 SPEC = {
     "classes": ["landbird", "waterbird"],
@@ -520,6 +521,103 @@ class TestSynthSpecDecoding:
             concepts_per_record=tuple(SPEC["concepts_per_image"]),
         )
         assert out.read_text(encoding="utf-8") == serialize_jsonl(generate(spec, SPEC["seed"]))
+
+
+# Input pieces for the whole-CLI property, valid ones first and then broken
+# ones: rows each parser keeps (one with a warning), rows it rejects, flag
+# values argparse or the config dataclasses accept, and ones they reject.
+JSONL_ROWS = D4_JSONL.splitlines() + ['{"id": "r9", "label": "A", "concepts": ["x", "x", " "]}', ""]
+JSONL_BAD_ROWS = [
+    '{"id": "r1", "label": "x", "concepts": ["A"]}',
+    '{"id": 1, "label": "A", "concepts": []}',
+    '{"id": "r8", "label": "A"}',
+    r'{"id": "r7", "label": "A", "concepts": ["\ud800"]}',
+    "[1, 2]",
+    "not json",
+]
+CSV_HEADER, *CSV_ROWS = D4_CSV.splitlines() + ["r9,A,x;;x; ", '"r7",B,"x;y"', ""]
+CSV_BAD_ROWS = ["r1,x,A", "r8,A", "id,label"]
+VOCABS = ['{"classes": ["A", "B"], "concepts": ["x", "y", "z"]}']
+BAD_VOCABS = ['{"classes": ["A"], "concepts": ["x"]}', '{"classes": ["x"], "concepts": ["x"]}', '{"classes": "AB", "concepts": []}', "[]"]
+FLAGS = {
+    "--format": (["auto"], ["jsonl", "csv", "xml"]),
+    "--k-max": (["1", "3", "12"], ["0", "-1", "2.5", "x"]),
+    "--min-support": (["1", "2"], ["0", "-3", "y"]),
+    "--relax": (["0.5", "1"], ["0", "1.5", "nan", "inf", "x"]),
+    "--template": (["photo", "image"], ["video"]),
+    "--clip-threshold": (["0.6", "0", "1"], ["2", "-0.1", "nan", "x"]),
+    "--cap": (["1", "3"], ["0", "-2", "x"]),
+    "--graph-format": (["json", "dot"], ["svg"]),
+    "--seed": (["0", "7", "-1"], ["x"]),
+}
+DATASET_FLAGS = ["--format", "--lenient"]
+DIAGNOSIS_FLAGS = ["--k-max", "--min-support", "--relax", "--template", "--clip-threshold", "--cap", "--out"]
+COMMAND_FLAGS = {
+    "diagnose": DATASET_FLAGS + DIAGNOSIS_FLAGS,
+    "sample": DATASET_FLAGS + DIAGNOSIS_FLAGS,
+    "export-graph": DATASET_FLAGS + ["--min-support", "--graph-format", "--out"],
+    "stats": DATASET_FLAGS,
+    "synth": ["--seed", "--out"],
+}
+
+
+@st.composite
+def cli_runs(draw):
+    """One command line of any subcommand, with the bytes of each file it reads.
+
+    In half of the runs every flag value and input row is a valid one; in the
+    other half any of them may be broken, and a file may be arbitrary bytes.
+    """
+    broken = draw(st.booleans())
+
+    def pick(valid, bad, noise=st.nothing()):
+        return st.sampled_from(valid + bad) | noise if broken else st.sampled_from(valid)
+
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command] + draw(st.sampled_from([[], ["--json-errors"]]))
+    for name in COMMAND_FLAGS[command]:
+        if draw(st.booleans()):
+            argv += [name] if name == "--lenient" else [name, "out" if name == "--out" else draw(pick(*FLAGS[name]))]
+    noise = st.binary(max_size=40) if broken else st.nothing()
+    if command == "synth":
+        spec = draw(spec_objects() | json_values if broken else spec_objects())
+        files = {"spec.json": draw(st.just(json.dumps(spec).encode()) | noise)}
+        return argv + ["spec.json"], files
+    name, header, rows, bad = draw(
+        st.sampled_from([("in.csv", [CSV_HEADER], CSV_ROWS, CSV_BAD_ROWS), ("in.jsonl", [], JSONL_ROWS, JSONL_BAD_ROWS)])
+    )
+    lines = draw(st.lists(pick(rows, bad, st.text(max_size=12)), min_size=0 if broken else 2, max_size=8, unique=not broken))
+    text = "\n".join(header + lines if not broken or draw(st.booleans()) else lines)
+    files = {name: draw(st.just(text.encode("utf-8", "surrogatepass")) | noise)}
+    argv += ["--input", name]
+    vocab = draw(st.none() | pick(VOCABS, BAD_VOCABS).map(str.encode) | noise)
+    if vocab is not None:
+        files["vocab.json"] = vocab
+        argv += ["--vocab", "vocab.json"]
+    return argv, files
+
+
+class TestWholeCliFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(cli_runs())
+    def test_any_run_exits_0_1_or_2_without_traceback(self, tmp_path_factory, run):
+        argv, files = run
+        tmp = tmp_path_factory.mktemp("cli")
+        for name, data in files.items():
+            (tmp / name).write_bytes(data)
+        argv = [str(tmp / a) if a in files or a == "out" else a for a in argv]
+        # Text streams that encode as a real stdout and stderr do.
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the usage
+                code = exc.code
+        err.flush()
+        stderr = err.buffer.getvalue().decode("utf-8")
+        assert code in (0, 1, 2), (argv, stderr)
+        assert "Traceback" not in stderr
 
 
 ROOT = Path(__file__).resolve().parents[1]

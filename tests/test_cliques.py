@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from coocbias.cliques import (
+    ClassCliqueSet,
     ImbalanceEntry,
     Provenance,
     common_clique_set,
@@ -68,6 +69,15 @@ class TestClassCliques:
             enumerate_class_cliques(g, "x", 2)
         with pytest.raises(ValueError, match="k_max"):
             enumerate_class_cliques(g, "A", 0)
+
+    @pytest.mark.parametrize("label, k_max", [("A", 0), ("A", 2.5), ("Z", 2)], ids=["k-0", "k-float", "unknown"])
+    def test_built_directly_checks_as_enumerate_does(self, d4, label, k_max):
+        g = build_graph(d4)
+        with pytest.raises(ValueError) as from_enumerate:
+            enumerate_class_cliques(g, label, k_max)
+        with pytest.raises(ValueError) as built:
+            ClassCliqueSet(label, k_max, g)
+        assert str(built.value) == str(from_enumerate.value)
 
     def test_levels_lexicographic_and_sized(self):
         for seed in range(30):
@@ -289,6 +299,12 @@ class TestFrequencyTable:
                 for q, per_class in level.items():
                     for y, n in per_class.items():
                         assert n == cooccurrence_count(ds, y, q), (seed, k, q, y)
+
+    def test_str_clique_rejected(self, d4):
+        # "xy" would otherwise count the clique ('x', 'y').
+        with pytest.raises(ValueError, match="^a clique is a tuple of concept names, not a str: 'xy'$"):
+            cooccurrence_count(d4, "A", "xy")
+        assert cooccurrence_count(d4, "A", ["x", "y"]) == cooccurrence_count(d4, "A", ("x", "y")) == 1
 
     def test_anti_monotone_across_levels(self):
         for seed in range(30):

@@ -288,6 +288,16 @@ class TestVocabularyFile:
         with pytest.raises(ValueError, match="vocabulary: names must be valid Unicode"):
             Vocabulary(classes=("A",), concepts=("x", "\udfff"))
 
+    @pytest.mark.parametrize(
+        "classes, concepts, key",
+        [("AB", ("x",), "classes"), ((1,), (), "classes"), (("A",), "x", "concepts"), (("A",), [None], "concepts")],
+        ids=["str-classes", "int-class", "str-concepts", "none-concept"],
+    )
+    def test_directly_built_vocabulary_type_checked(self, classes, concepts, key):
+        with pytest.raises(ValueError, match=rf"^vocabulary\.{key}: expected a tuple or list of strings$"):
+            Vocabulary(classes=classes, concepts=concepts)
+        assert Vocabulary(classes=["A"], concepts=["x"]).classes == ["A"]
+
     def test_lone_surrogate_name_rejected(self):
         with pytest.raises(ValueError, match="surrogate"):
             load_vocabulary(rb'{"classes": ["A"], "concepts": ["\udfff"]}')
@@ -512,6 +522,24 @@ class TestDatasetInvariants:
     def test_from_records_rejects_unsorted_concepts(self):
         with pytest.raises(ValueError, match="sorted"):
             Dataset.from_records([AnnotationRecord("r1", "A", ("y", "x"))])
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (AnnotationRecord(1, "A", ("x",)), "record id and label must be strings: AnnotationRecord(id=1, "),
+            (AnnotationRecord("r2", None, ("x",)), "record id and label must be strings: AnnotationRecord(id='r2', "),
+            (AnnotationRecord("r2", "A", ["x", "y"]), "record 'r2': concepts must be a tuple of strings"),
+            (AnnotationRecord("r2", "A", ["x"]), "record 'r2': concepts must be a tuple of strings"),
+            (AnnotationRecord("r2", "A", (1,)), "record 'r2': concepts must be a tuple of strings"),
+            (AnnotationRecord("r2", "A", (["x"],)), "record 'r2': concepts must be a tuple of strings"),
+        ],
+        ids=["int-id", "none-label", "sorted-list", "list-of-a-checked-tuple", "int-concept", "unhashable-concept"],
+    )
+    def test_from_records_rejects_wrong_types(self, record, message):
+        # The first record puts ("x",) among the concept tuples already checked.
+        with pytest.raises(ValueError) as exc:
+            Dataset.from_records([AnnotationRecord("r1", "B", ("x",)), record])
+        assert str(exc.value).startswith(message)
 
     def test_from_records_checks_vocabulary(self):
         vocab = Vocabulary(classes=("A",), concepts=("x", "z"))

@@ -18,9 +18,10 @@ from coocbias.cliques import (
     frequency_table,
     imbalanced_cliques,
 )
-from coocbias.dataset import AnnotationRecord, Dataset
+from coocbias.dataset import AnnotationRecord, Dataset, parse_jsonl, serialize_jsonl
 from coocbias.graph import build_graph
 from coocbias.rebalance import (
+    GenerationPlan,
     GenerationQuery,
     PromptTemplate,
     RebalanceConfig,
@@ -28,6 +29,7 @@ from coocbias.rebalance import (
     rebalance_plan,
     render_prompt,
 )
+from coocbias.report import DiagnosisConfig, diagnose
 from support import COPIERS, datasets, random_dataset, reference_plan
 
 PROPERTY_SETTINGS = settings(max_examples=75, deadline=None)
@@ -37,6 +39,16 @@ def diagnose_table(ds, k_max=3, min_support=1):
     g = build_graph(ds, min_support=min_support)
     per = [enumerate_class_cliques(g, y, k_max) for y in ds.classes]
     return frequency_table(ds, common_clique_set(per))
+
+
+def check_against_reference(table, config=RebalanceConfig()):
+    """Assert that ``rebalance_plan`` gives ``reference_plan``'s plan, adjusted
+    table and totals, keys in the same order; return the plan and table."""
+    plan, adjusted = rebalance_plan(table, config)
+    ref_plan, ref_adjusted, totals = reference_plan(table, config)
+    assert (plan, adjusted) == (ref_plan, ref_adjusted)
+    assert (plan.total_count, plan.truncated, list(plan.per_class.items()), list(plan.per_level.items())) == totals
+    return plan, adjusted
 
 
 class TestPrompts:
@@ -80,6 +92,12 @@ class TestPrompts:
         with pytest.raises(ValueError, match="empty"):
             render_prompt(PromptTemplate.PHOTO, "Y", ())
 
+    @pytest.mark.parametrize("template", list(PromptTemplate))
+    def test_str_concepts_rejected(self, template):
+        # "xy" would otherwise read as the concepts x and y.
+        with pytest.raises(ValueError, match="^a clique is a tuple of concept names, not a str: 'xy'$"):
+            render_prompt(template, "Y", "xy")
+
     @pytest.mark.parametrize("template", ["photo", "image", None])
     def test_non_member_template_rejected(self, template):
         with pytest.raises(ValueError, match="template"):
@@ -117,6 +135,33 @@ class TestPlanOnD4:
         rebalance_plan(table)
         assert table.counts == before.counts
         assert table.provenance is Provenance.ORIGINAL
+
+
+class TestPlanIsItsQueries:
+    QUERIES = (
+        GenerationQuery("B", ("x", "y"), 2, "a photo of x and y", 0.6, capped=True),
+        GenerationQuery("A", ("x",), 1, "a photo of x", 0.6),
+        GenerationQuery("B", ("y",), 3, "a photo of y", 0.6),
+    )
+
+    def test_totals_read_from_queries_in_query_order(self):
+        plan = GenerationPlan(queries=self.QUERIES)
+        assert [f.name for f in dataclasses.fields(plan)] == ["queries"]
+        assert plan.total_count == 6
+        assert plan.truncated
+        assert list(plan.per_class.items()) == [("B", 5), ("A", 1)]
+        assert list(plan.per_level.items()) == [(2, 2), (1, 4)]
+        empty = GenerationPlan(queries=())
+        assert (empty.total_count, empty.truncated, empty.per_class, empty.per_level) == (0, False, {}, {})
+
+    @COPIERS
+    def test_compares_and_hashes_by_queries(self, copier):
+        plan = GenerationPlan(queries=self.QUERIES)
+        assert plan.per_class  # a cached total does not take part
+        twin = copier(plan)
+        assert twin == GenerationPlan(queries=self.QUERIES) == plan
+        assert hash(twin) == hash(plan)
+        assert plan != GenerationPlan(queries=self.QUERIES[:2])
 
 
 class TestUpdateStep:
@@ -309,7 +354,7 @@ class TestAgainstReferencePlan:
         table = frequency_table(ds, common_clique_set(per, relax_fraction=relax))
         for template in PromptTemplate:
             config = RebalanceConfig(template=template, per_query_cap=cap)
-            assert rebalance_plan(table, config) == reference_plan(table, config)
+            check_against_reference(table, config)
 
 
 class TestCopyOnWrite:
@@ -332,7 +377,7 @@ class TestCopyOnWrite:
             ("A", ("p",), 2),
         ]
         assert adjusted.counts[1][("p",)] == {"A": 5, "B": 5}
-        assert (plan, adjusted) == reference_plan(table)
+        check_against_reference(table)
 
     @PROPERTY_SETTINGS
     @given(datasets(max_concepts=5))
@@ -394,8 +439,7 @@ class TestHandBuiltTables:
         levels = {k: (level, list(level.items())) for k, level in table.counts.items()}
         for cap in (None, 2):
             config = RebalanceConfig(per_query_cap=cap)
-            plan, adjusted = rebalance_plan(table, config)
-            assert (plan, adjusted) == reference_plan(table, config)
+            plan, adjusted = check_against_reference(table, config)
             assert list(adjusted.counts) == list(table.counts)
             for k, level in table.counts.items():
                 assert list(adjusted.counts[k]) == list(level)
@@ -443,6 +487,15 @@ class TestSlottedQuery:
 
 
 class TestApplyVirtual:
+    @pytest.mark.parametrize("relax", [None, 0.5], ids=["strict", "relax-0.5"])
+    def test_grown_dataset_round_trips_through_jsonl(self, relax):
+        for seed in range(200):
+            ds = random_dataset(seed)
+            grown = apply_virtual(ds, diagnose(ds, DiagnosisConfig(k_max=3, relax_fraction=relax)).plan)
+            parsed, report = parse_jsonl(serialize_jsonl(grown))
+            assert report.ok, (seed, report.errors)
+            assert parsed == grown, seed
+
     def test_d4_round_trip(self, d4):
         table = diagnose_table(d4, k_max=2)
         plan, _ = rebalance_plan(table)

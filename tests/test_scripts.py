@@ -1,9 +1,12 @@
-"""Smoke runs of the example scripts under scripts/."""
+"""Smoke runs of the example scripts under scripts/ and of the README's library snippet."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from support import D4_JSONL
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,3 +26,14 @@ def test_scripts_run():
     bench = run_script("benchmark.py", "--records", "400", "--k-max", "2")
     assert bench.returncode == 0, bench.stderr
     assert "gen s" in bench.stdout.splitlines()[0]
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.jsonl").write_text(D4_JSONL, encoding="utf-8")
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out == "('x',) {'B': 1}\n('y',) {'A': 1}\n"
+    assert namespace["balanced"].n == 6

@@ -52,13 +52,7 @@ queries = st.builds(
 
 
 def plan_of(qs) -> GenerationPlan:
-    return GenerationPlan(
-        queries=tuple(qs),
-        total_count=sum(q.count for q in qs),
-        truncated=any(q.capped for q in qs),
-        per_class={},
-        per_level={},
-    )
+    return GenerationPlan(queries=tuple(qs))
 
 
 AWKWARD_RECORD = AnnotationRecord('q"\\\x00\u2028\U0001F600\ud800', "L\x1f", ("\udfff", "b\\"))
