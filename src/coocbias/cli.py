@@ -9,22 +9,25 @@ Subcommands:
 * ``stats``         quick dataset overview
 
 Exit codes: 0 success, 1 validation problem (bad data or out-of-range
-values), 2 I/O failure, a stdout closed by its reader included. Argparse
-itself still exits 2 on malformed usage, the conventional overlap. With
-``--json-errors`` the error report on stderr is a single JSON object instead
-of prose. ``synth`` leaves every check of a spec field to ``BiasSpec``.
+values), 2 I/O failure, a closed stdin and a stdout closed by its reader
+included. Argparse itself still exits 2 on malformed usage, the conventional
+overlap. With ``--json-errors`` the error report on stderr is a single JSON
+object instead of prose. ``synth`` leaves every check of a spec field to ``BiasSpec``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import sys
 from collections.abc import Iterable
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import chain
 from pathlib import Path
+from typing import IO
 
 from . import __version__
 from .dataset import _SURROGATE, Dataset, Vocabulary, _clean, load_vocabulary, parse_csv, parse_jsonl, serialize_jsonl
@@ -37,7 +40,6 @@ from .report import (
     diagnose,
     plan_jsonl,
     report_dict,
-    sha256_hex,
     write_text,
 )
 from .synth import BiasSpec, generate
@@ -72,13 +74,35 @@ def _emit_error(err: CliError, json_errors: bool) -> None:
         print(f"  [{d['rule']}] {d['record_id'] or '-'}: {d['message']}", file=sys.stderr)
 
 
+def _stdin() -> IO[bytes]:
+    if sys.stdin is None:  # the process started with file descriptor 0 closed
+        raise CliError(EXIT_IO, "cannot read -: stdin is closed")
+    return sys.stdin.buffer
+
+
 def _read_bytes(path: str) -> bytes:
     if path == "-":
-        return sys.stdin.buffer.read()
+        return _stdin().read()
     try:
         return Path(path).read_bytes()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+class _HashingReader(io.RawIOBase):
+    """A raw stream over ``source`` that feeds every byte it reads to ``digest``."""
+
+    def __init__(self, source: IO[bytes], digest: hashlib._Hash) -> None:
+        self.source = source
+        self.digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.source.readinto(buffer)
+        self.digest.update(memoryview(buffer)[:n])
+        return n
 
 
 def _write_output(path: str | None, text: str | Iterable[str]) -> None:
@@ -113,14 +137,25 @@ def _load_vocab(path: str | None) -> Vocabulary | None:
 
 
 def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
-    """Read, parse, and validate the input; return (dataset, content digest)."""
-    raw = _read_bytes(args.input)
+    """Parse and validate the input as it is read; return (dataset, content digest).
+
+    The input is opened before the vocabulary is loaded, so a missing input is
+    reported first, and the digest is taken from the bytes the parser reads.
+    """
+    if args.input == "-" and args.vocab == "-":
+        raise CliError(EXIT_VALIDATION, "--input and --vocab cannot both read stdin")
     fmt = args.format
     if fmt == "auto":
         fmt = "csv" if args.input.lower().endswith(".csv") else "jsonl"
-    vocab = _load_vocab(args.vocab)
     parse = parse_csv if fmt == "csv" else parse_jsonl
-    dataset, report = parse(raw, strict=not args.lenient, vocabulary=vocab)
+    digest = hashlib.sha256()
+    try:
+        with nullcontext(_stdin()) if args.input == "-" else open(args.input, "rb") as source:
+            vocab = _load_vocab(args.vocab)
+            with io.BufferedReader(_HashingReader(source, digest)) as stream:
+                dataset, report = parse(stream, strict=not args.lenient, vocabulary=vocab)
+    except OSError as exc:
+        raise CliError(EXIT_IO, f"cannot read {args.input}: {exc.strerror or exc}") from exc
     for w in report.warnings:
         print(f"warning: {w.record_id or '-'}: {w.message}", file=sys.stderr)
     if dataset is not None and report.errors:
@@ -133,7 +168,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
         ]
         first = report.errors[0].message if report.errors else "no records"
         raise CliError(EXIT_VALIDATION, first, details)
-    return dataset, sha256_hex(raw)
+    return dataset, digest.hexdigest()
 
 
 def _diagnose(args: argparse.Namespace) -> tuple[Dataset, str, Diagnosis]:

@@ -16,10 +16,14 @@ constructed :class:`Dataset` is immutable and safe for concurrent reads.
 Cost model: both parsers build records through one builder that cleans each
 distinct raw name and each distinct raw concept list once per parse, so the
 per-record work is a few dict lookups, and records share one ``str`` per raw
-name and one tuple per raw concept list. A JSONL input is decoded line by line,
-so a parse peaks at the input bytes plus the kept (slotted) records and the id
-set. Validation checks whole sets first and walks the records only when a set
-check finds a duplicate id, a vocabulary miss or a class/concept collision.
+name and one tuple per raw concept list. Both read their source as a binary
+stream one line at a time: a binary file object, such as ``open(path, "rb")``
+or ``sys.stdin.buffer``, and a ``Path``, which the parser opens and closes, are
+streamed, so a parse peaks at one line (or one buffered chunk) of input plus
+the kept (slotted) records and the id set. ``bytes``, a ``str`` and a text
+stream are held whole, as the caller already holds them. Validation checks
+whole sets first and walks the records only when a set check finds a
+duplicate id, a vocabulary miss or a class/concept collision.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 import re
 import unicodedata
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring
@@ -178,7 +183,8 @@ def load_vocabulary(data: Source | dict) -> Vocabulary:
     """
     if not isinstance(data, dict):
         try:
-            data = json.loads(_source_text(data))
+            with _byte_stream(data) as stream:
+                data = json.loads(stream.read().decode("utf-8-sig"))
         except RecursionError as exc:
             raise ValueError(f"vocabulary: {exc}") from None
     if not isinstance(data, dict):
@@ -236,37 +242,39 @@ class ValidationReport:
         return not self.errors
 
 
-def _source_bytes(source: Source) -> bytes:
-    # surrogatepass: a lone surrogate in a str becomes bytes the decode rejects
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source)
-    if isinstance(source, str):
-        return source.encode("utf-8", "surrogatepass")
+@contextmanager
+def _byte_stream(source: Source) -> Iterator[IO[bytes]]:
+    """``source`` as a binary stream: the one way a parser or ``load_vocabulary`` reads.
+
+    A binary stream (``io.RawIOBase``/``io.BufferedIOBase``) is read as it is
+    and left open; a ``Path`` is opened here and closed on exit. ``bytes``, a
+    ``str`` and any other stream, a text stream included, are read whole and
+    wrapped in a ``BytesIO``; a ``str`` is encoded with ``surrogatepass``, so a
+    lone surrogate becomes bytes the decode rejects.
+    """
     if isinstance(source, Path):
-        return source.read_bytes()
-    data = source.read()
-    if isinstance(data, str):
-        return data.encode("utf-8", "surrogatepass")
-    return data
+        with source.open("rb") as stream:
+            yield stream
+        return
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        yield source
+        return
+    data = source if isinstance(source, (bytes, bytearray, str)) else source.read()
+    yield io.BytesIO(data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data)
 
 
-def _source_text(source: Source) -> str:
-    # utf-8-sig drops a leading BOM if present
-    return _source_bytes(source).decode("utf-8-sig")
-
-
-def _decoded_lines(data: bytes, report: ValidationReport) -> Iterator[tuple[int, str]]:
+def _decoded_lines(stream: IO[bytes], report: ValidationReport) -> Iterator[tuple[int, str]]:
     """Yield ``(line_no, text)`` per line, LF or CRLF, each line decoded on its own.
 
     No UTF-8 sequence holds an LF byte, and a raw U+2028 or U+0085 is legal in a
-    JSON string, so lines split on LF alone. An undecodable line is skipped; its
-    ``encoding`` error goes ahead of all other errors once the input is used up.
+    JSON string, so lines split on LF alone. A BOM is dropped from the first
+    line. An undecodable line is skipped; its ``encoding`` error goes ahead of
+    all other errors once the stream is used up.
     """
-    stream = io.BytesIO(data)  # shares ``data``'s buffer: no copy
-    if data.startswith(b"\xef\xbb\xbf"):
-        stream.seek(3)
     invalid: list[ErrorEntry] = []
     for line_no, raw in enumerate(stream, start=1):
+        if line_no == 1:
+            raw = raw.removeprefix(b"\xef\xbb\xbf")
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError:
@@ -438,34 +446,35 @@ def parse_jsonl(
     """
     report = ValidationReport()
     builder = _RecordBuilder(report, split=tuple)
-    for line_no, text in _decoded_lines(_source_bytes(source), report):
-        if not text.strip():
-            continue
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            report.reject("", "malformed-line", f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}")
-            continue
-        if not isinstance(obj, dict):
-            report.reject("", "malformed-line", f"line {line_no}: not a JSON object")
-            continue
-        try:
-            rid, label, concepts = obj["id"], obj["label"], obj["concepts"]
-        except KeyError:
-            missing = [k for k in ("id", "label", "concepts") if k not in obj]
-            report.reject("", "missing-field", f"line {line_no}: missing fields: {missing!r}")
-            continue
-        if not isinstance(rid, str) or not isinstance(label, str):
-            report.reject("", "bad-type", f"line {line_no}: id and label must be strings")
-            continue
-        if not isinstance(concepts, list) or not all(isinstance(c, str) for c in concepts):
-            report.reject(rid, "bad-type", f"line {line_no}: concepts must be an array of strings")
-            continue
-        # A lone surrogate can only come from a \u escape.
-        if "\\u" in text and _SURROGATE.search("".join([rid, label, *concepts])):
-            report.reject("", "encoding", f"line {line_no}: name is not valid Unicode (lone surrogate escape)")
-            continue
-        builder.add(line_no, rid, label, tuple(concepts))
+    with _byte_stream(source) as stream:
+        for line_no, text in _decoded_lines(stream, report):
+            if not text.strip():
+                continue
+            try:
+                obj = json.loads(text)
+            except (ValueError, RecursionError) as exc:
+                report.reject("", "malformed-line", f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}")
+                continue
+            if not isinstance(obj, dict):
+                report.reject("", "malformed-line", f"line {line_no}: not a JSON object")
+                continue
+            try:
+                rid, label, concepts = obj["id"], obj["label"], obj["concepts"]
+            except KeyError:
+                missing = [k for k in ("id", "label", "concepts") if k not in obj]
+                report.reject("", "missing-field", f"line {line_no}: missing fields: {missing!r}")
+                continue
+            if not isinstance(rid, str) or not isinstance(label, str):
+                report.reject("", "bad-type", f"line {line_no}: id and label must be strings")
+                continue
+            if not isinstance(concepts, list) or not all(isinstance(c, str) for c in concepts):
+                report.reject(rid, "bad-type", f"line {line_no}: concepts must be an array of strings")
+                continue
+            # A lone surrogate can only come from a \u escape.
+            if "\\u" in text and _SURROGATE.search("".join([rid, label, *concepts])):
+                report.reject("", "encoding", f"line {line_no}: name is not valid Unicode (lone surrogate escape)")
+                continue
+            builder.add(line_no, rid, label, tuple(concepts))
     return _finalize(builder.records, builder.positions, report, strict, vocabulary)
 
 
@@ -482,15 +491,35 @@ def parse_csv(
     equal content.
     """
     report = ValidationReport()
+    builder = _RecordBuilder(report, split=_split_cell)
     try:
-        text = _source_text(source)
+        with _byte_stream(source) as stream:
+            # newline="\n" splits lines as a StringIO of the whole text would;
+            # the csv module handles CRLF and quoted newlines itself.
+            text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="\n")
+            try:
+                has_header = _read_csv(text, builder)
+            finally:
+                text.detach()  # a caller's stream stays open
     except UnicodeDecodeError:
+        # Any invalid byte, wherever it is, is the file's one error.
+        report = ValidationReport()
         report.error("", "encoding", "file is not valid UTF-8")
         return None, report
+    if not has_header:
+        return None, report
+    return _finalize(builder.records, builder.positions, report, strict, vocabulary)
 
-    reader = csv.reader(io.StringIO(text))
+
+def _read_csv(text: io.TextIOWrapper, builder: _RecordBuilder) -> bool:
+    """Read the header and every row into ``builder``; False on a missing or bad header.
+
+    Reads to the end of ``text`` in every case, so that an invalid byte after a
+    bad header still raises.
+    """
+    report = builder.report
+    reader = csv.reader(text)
     header: list[str] | None = None
-    builder = _RecordBuilder(report, split=_split_cell)
     while True:
         try:
             row = next(reader)
@@ -506,7 +535,9 @@ def parse_csv(
             header = [cell.strip() for cell in row]
             if tuple(header) != CSV_HEADER:
                 report.error("", "bad-header", f"line {line_no}: expected header id,label,concepts, got {','.join(header)!r}")
-                return None, report
+                while text.read(1 << 16):
+                    pass
+                return False
             continue
         if len(row) != 3:
             report.reject("", "wrong-column-count", f"line {line_no}: expected 3 columns, got {len(row)}")
@@ -514,8 +545,8 @@ def parse_csv(
         builder.add(line_no, *row)
     if header is None:
         report.error("", "bad-header", "empty file: missing header row")
-        return None, report
-    return _finalize(builder.records, builder.positions, report, strict, vocabulary)
+        return False
+    return True
 
 
 def serialize_jsonl(dataset: Dataset) -> str:

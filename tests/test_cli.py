@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -170,6 +171,55 @@ class TestDiagnose:
         assert main(["diagnose", "--input", str(d4_jsonl), "--vocab", str(vocab), "--out", str(out)]) == 0
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["dataset"]["concepts"] == 3
+
+
+def rendered(fmt, n):
+    """``n`` valid records over classes A, B and concepts x, y, as JSONL or CSV text."""
+    rows = [(f"r{i}", "AB"[i % 2], ("x", "y", "x;y")[i % 3]) for i in range(n)]
+    if fmt == "jsonl":
+        return "".join(json.dumps({"id": i, "label": y, "concepts": c.split(";")}) + "\n" for i, y, c in rows)
+    return "id,label,concepts\n" + "".join(f"{i},{y},{c}\n" for i, y, c in rows)
+
+
+class TestInput:
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    @pytest.mark.parametrize("n", [4, 5000], ids=["small", "many-chunks"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_input_digest_is_sha256_of_the_input_bytes(self, tmp_path, monkeypatch, capsys, fmt, bom, eol, n, via):
+        data = (bom + rendered(fmt, n).replace("\n", eol)).encode("utf-8")
+        if via == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            source = "-"
+        else:
+            source = tmp_path / f"input.{fmt}"
+            source.write_bytes(data)
+        assert main(["diagnose", "--input", str(source), "--format", fmt]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["dataset"]["records"] == n
+        assert report["input_digest"] == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["diagnose", "--input", "-"], ["diagnose", "--input", "{d4}", "--vocab", "-"], ["synth", "-"]],
+        ids=["input", "vocab", "synth"],
+    )
+    def test_closed_stdin_exits_2(self, d4_jsonl, monkeypatch, capsys, command):
+        monkeypatch.setattr(sys, "stdin", None)  # what Python sets when fd 0 is closed
+        assert main([arg.format(d4=d4_jsonl) for arg in command]) == 2
+        assert capsys.readouterr().err == "error: cannot read -: stdin is closed\n"
+
+    def test_input_and_vocab_cannot_both_read_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(D4_JSONL.encode("utf-8"))))
+        assert main(["diagnose", "--input", "-", "--vocab", "-"]) == 1
+        assert capsys.readouterr().err == "error: --input and --vocab cannot both read stdin\n"
+
+    def test_missing_input_is_reported_before_a_bad_vocabulary(self, tmp_path, capsys):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text("not json", encoding="utf-8")
+        assert main(["diagnose", "--input", str(tmp_path / "nope.jsonl"), "--vocab", str(vocab)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path / 'nope.jsonl'}: ")
 
 
 class TestSample:
@@ -657,6 +707,15 @@ class TestRealProcesses:
         stderr = (tmp_path / "stderr").read_text(encoding="utf-8")
         assert stderr.startswith("error: cannot write stdout")
         assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_dev_mode_run_leaves_no_stream_open(self, d4_jsonl, via):
+        # -X dev -W error turns a stream left open into an "Exception ignored" line on stderr.
+        args = [sys.executable, "-X", "dev", "-W", "error", *cli("diagnose", "--input", "-" if via == "stdin" else d4_jsonl)[1:]]
+        with open(d4_jsonl, "rb") as stdin:
+            proc = subprocess.run(args, stdin=stdin, capture_output=True, env=ENV, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["dataset"]["records"] == 4
 
     def test_synth_piped_into_diagnose(self, spec_file, tmp_path):
         synth = subprocess.Popen(cli("synth", spec_file), stdout=subprocess.PIPE, env=ENV)

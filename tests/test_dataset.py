@@ -1,9 +1,12 @@
 """Parsing, validation, and normalization."""
 
+import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
+import tracemalloc
 import weakref
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from coocbias.dataset import (
     AnnotationRecord,
     Dataset,
+    ErrorEntry,
     load_vocabulary,
     parse_csv,
     parse_jsonl,
@@ -446,6 +450,121 @@ class TestReferenceParser:
             assert str(exc.value) == rep.errors[0].message
         else:
             assert Dataset.from_records(records, vocab) == expected
+
+
+class ChunkedRaw(io.RawIOBase):
+    """A raw stream that hands out ``data`` a few bytes per read, cycling through ``sizes``."""
+
+    def __init__(self, data: bytes, sizes=(1, 7, 3)):
+        self.data = data
+        self.pos = 0
+        self.sizes = itertools.cycle(sizes)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = min(next(self.sizes), len(buffer), len(self.data) - self.pos)
+        buffer[:n] = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return n
+
+
+def streamed_sources(data, path, sizes=(1, 7, 3)):
+    """``data`` as whole bytes and as each kind of binary stream a parser reads lazily."""
+    path.write_bytes(data)
+    return {
+        "bytes": data,
+        "bytesio": io.BytesIO(data),
+        "path": path,
+        "raw": ChunkedRaw(data, sizes),
+        "buffered": io.BufferedReader(ChunkedRaw(data, sizes)),
+    }
+
+
+ENCODING_ONLY = ValidationReport(errors=[ErrorEntry("", "encoding", "file is not valid UTF-8")])
+STRAY_CR = "new-line character seen in unquoted field - do you need to open the file in universal-newline mode?"
+
+
+class TestStreamedParse:
+    """Every source, read as a stream a few bytes at a time, parses as its whole bytes do."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ROWS,
+        st.lists(st.tuples(st.integers(0, 15), st.sampled_from(BAD_JSONL_LINES)), max_size=2),
+        st.sampled_from([b"\n", b"\r\n"]),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([None, REFERENCE_VOCAB]),
+        st.lists(st.integers(1, 7), min_size=1, max_size=6),
+    )
+    def test_streamed_sources_match_reference(self, tmp_path_factory, rows, bad, eol, bom, ascii_only, strict, vocab, sizes):
+        folder = tmp_path_factory.mktemp("streamed")
+        prefix = b"\xef\xbb\xbf" if bom else b""
+        for fmt, data, parse in [
+            ("jsonl", prefix + render_jsonl(rows, bad, eol, ascii_only), parse_jsonl),
+            ("csv", prefix + render_csv(rows, eol), parse_csv),
+        ]:
+            expected = reference_parse(data, fmt, strict, vocab)
+            for kind, source in streamed_sources(data, folder / f"input.{fmt}", sizes).items():
+                assert parse(source, strict=strict, vocabulary=vocab) == expected, kind
+                # The parser leaves a stream it was handed open.
+                assert not getattr(source, "closed", False), kind
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"foo,bar\n\xff\n",
+            # Well past the first chunk the decoder reads, after warnings and records.
+            b"id,label,concepts\n" + b"".join(b"r%d,A,x;x\n" % i for i in range(2000)) + b"r,B,\xff\n",
+        ],
+        ids=["after-bad-header", "after-warned-lines"],
+    )
+    def test_csv_invalid_byte_is_the_only_error(self, tmp_path, data, strict):
+        for kind, source in streamed_sources(data, tmp_path / "input.csv").items():
+            assert parse_csv(source, strict=strict) == (None, ENCODING_ONLY), kind
+
+    @pytest.mark.parametrize(
+        "data, kept, error",
+        [
+            (b"id,label,concepts\nr1,A,x\rr2,B,y\nr3,B,z\n", [("r3", ("z",))], "line 2: " + STRAY_CR),
+            (b'id,label,concepts\r\nr1,A,"x\ry"\r\nr2,B,y\rz\r\n', [("r1", ("x\ry",))], "line 3: " + STRAY_CR),
+        ],
+        ids=["unquoted", "quoted-then-unquoted"],
+    )
+    def test_csv_stray_cr_splits_no_line(self, tmp_path, data, kept, error):
+        for kind, source in streamed_sources(data, tmp_path / "input.csv").items():
+            ds, rep = parse_csv(source, strict=False)
+            assert [(r.id, r.concepts) for r in ds.records] == kept, kind
+            assert [(e.rule, e.message) for e in rep.errors] == [("malformed-line", error)], kind
+
+    @pytest.mark.parametrize("opened", [False, True], ids=["path", "open-file"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_streamed_parse_holds_far_less_than_the_input(self, tmp_path, fmt, opened):
+        # 20k long lines but small records: every record shares one padded
+        # concept list, which is cleaned once.
+        n, concepts = 20_000, ["sky" + " " * 500, "sea"]
+        if fmt == "jsonl":
+            lines = (json.dumps({"id": f"r{i}", "label": ("cat", "dog")[i % 2], "concepts": concepts}) for i in range(n))
+        else:
+            lines = itertools.chain(["id,label,concepts"], (f"r{i},{('cat', 'dog')[i % 2]},{';'.join(concepts)}" for i in range(n)))
+        path = tmp_path / f"input.{fmt}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        size = path.stat().st_size
+        parse = parse_jsonl if fmt == "jsonl" else parse_csv
+        with path.open("rb") if opened else contextlib.nullcontext(path) as source:
+            tracemalloc.start()
+            try:
+                ds, rep = parse(source)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert rep.ok and ds.n == n
+        # What a parse adds on top of what it keeps is mostly the id set.
+        assert peak < kept + size / 2, f"traced peak {peak} B with {kept} B kept, on a {size} B input"
 
 
 class TestRecordMasks:
