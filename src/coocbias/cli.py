@@ -9,22 +9,27 @@ Subcommands:
 * ``stats``         quick dataset overview
 
 Exit codes: 0 success, 1 validation problem (bad data or out-of-range
-values), 2 I/O failure, a closed stdin and a stdout closed by its reader
-included. Argparse itself still exits 2 on malformed usage, the conventional
-overlap. With ``--json-errors`` the error report on stderr is a single JSON
-object instead of prose. ``synth`` leaves every check of a spec field to ``BiasSpec``.
+values), 2 I/O failure. Any failed read of an input or write of an output
+exits 2 with one ``error: cannot read|write NAME: reason`` line, stdin and
+stdout included, whether they fail or are closed: ``_reading`` opens every
+input and the stdout branch of ``_write_output`` is the one writer of stdout.
+Argparse itself still exits 2 on malformed usage, the conventional overlap.
+With ``--json-errors`` the error report on stderr is a single JSON object
+instead of prose. ``synth`` leaves every check of a spec field, and of the
+seed, to ``BiasSpec`` and ``generate``.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import io
 import json
 import os
 import sys
-from collections.abc import Iterable
-from contextlib import contextmanager, nullcontext
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 from typing import IO
@@ -74,17 +79,20 @@ def _emit_error(err: CliError, json_errors: bool) -> None:
         print(f"  [{d['rule']}] {d['record_id'] or '-'}: {d['message']}", file=sys.stderr)
 
 
-def _stdin() -> IO[bytes]:
-    if sys.stdin is None:  # the process started with file descriptor 0 closed
-        raise CliError(EXIT_IO, "cannot read -: stdin is closed")
-    return sys.stdin.buffer
+@contextmanager
+def _reading(path: str) -> Iterator[IO[bytes]]:
+    """Yield ``path``, or stdin for ``-``, as a binary stream.
 
-
-def _read_bytes(path: str) -> bytes:
-    if path == "-":
-        return _stdin().read()
+    An OSError raised while the stream is open exits 2 naming ``path``.
+    """
     try:
-        return Path(path).read_bytes()
+        if path != "-":
+            with open(path, "rb") as stream:
+                yield stream
+        elif sys.stdin is None:  # the process started with file descriptor 0 closed
+            raise CliError(EXIT_IO, "cannot read -: stdin is closed")
+        else:
+            yield sys.stdin.buffer
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -101,22 +109,39 @@ class _HashingReader(io.RawIOBase):
 
     def readinto(self, buffer) -> int:
         n = self.source.readinto(buffer)
+        # A non-blocking source with no data yet returns None, which a
+        # BufferedReader would take for the end of the input.
+        if n is None:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         self.digest.update(memoryview(buffer)[:n])
         return n
 
 
-def _write_output(path: str | None, text: str | Iterable[str]) -> None:
-    """Write one string or an iterable of pieces to ``path``, or to stdout."""
-    if path is None or path == "-":
-        # An unbuffered stdout (python -u) drops the rest of a write to a closed
-        # pipe without an error; in 64 KiB pieces, the next piece raises.
-        pieces = (text[i : i + 65536] for i in range(0, len(text), 65536)) if isinstance(text, str) else text
-        sys.stdout.writelines(pieces)
+def _write_output(path: str, text: str | Iterable[str]) -> None:
+    """Write one string or an iterable of pieces to ``path``, or to stdout for ``-``.
+
+    This is the one writer of stdout; it flushes, so a failed write exits 2 here.
+    """
+    if path != "-":
+        try:
+            write_text(Path(path), text)
+        except OSError as exc:
+            raise CliError(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from exc
         return
+    if sys.stdout is None:  # the process started with file descriptor 1 closed
+        raise CliError(EXIT_IO, "cannot write stdout: stdout is closed")
+    # An unbuffered stdout (python -u) drops the rest of a write to a closed
+    # pipe without an error; in 64 KiB pieces, the next piece raises.
+    pieces = (text[i : i + 65536] for i in range(0, len(text), 65536)) if isinstance(text, str) else text
     try:
-        write_text(Path(path), text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
     except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from exc
+        # What is still buffered goes to devnull at shutdown instead of failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise CliError(EXIT_IO, f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 @contextmanager
@@ -131,9 +156,8 @@ def _validation(prefix: str = ""):
 def _load_vocab(path: str | None) -> Vocabulary | None:
     if path is None:
         return None
-    raw = _read_bytes(path)
-    with _validation("invalid vocabulary file: "):
-        return load_vocabulary(raw)
+    with _reading(path) as stream, _validation("invalid vocabulary file: "):
+        return load_vocabulary(stream)
 
 
 def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
@@ -149,13 +173,10 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
         fmt = "csv" if args.input.lower().endswith(".csv") else "jsonl"
     parse = parse_csv if fmt == "csv" else parse_jsonl
     digest = hashlib.sha256()
-    try:
-        with nullcontext(_stdin()) if args.input == "-" else open(args.input, "rb") as source:
-            vocab = _load_vocab(args.vocab)
-            with io.BufferedReader(_HashingReader(source, digest)) as stream:
-                dataset, report = parse(stream, strict=not args.lenient, vocabulary=vocab)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read {args.input}: {exc.strerror or exc}") from exc
+    with _reading(args.input) as source:
+        vocab = _load_vocab(args.vocab)
+        with io.BufferedReader(_HashingReader(source, digest)) as stream:
+            dataset, report = parse(stream, strict=not args.lenient, vocabulary=vocab)
     for w in report.warnings:
         print(f"warning: {w.record_id or '-'}: {w.message}", file=sys.stderr)
     if dataset is not None and report.errors:
@@ -196,14 +217,15 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     _, _, result = _diagnose(args)
-    _write_output(args.out, plan_jsonl(result.plan))
-    if args.out is None or args.out == "-":
+    plan = result.plan
+    _write_output(args.out, plan_jsonl(plan))
+    if args.out == "-":
         return EXIT_OK
-    print(f"plan: {len(result.plan.queries)} queries, {result.plan.total_count} samples")
-    for label in sorted(result.plan.per_class):
-        print(f"  {label}: {result.plan.per_class[label]}")
-    if result.plan.truncated:
-        print("note: some queries were clamped by --cap; counts will not fully balance")
+    lines = [f"plan: {len(plan.queries)} queries, {plan.total_count} samples"]
+    lines += [f"  {label}: {plan.per_class[label]}" for label in sorted(plan.per_class)]
+    if plan.truncated:
+        lines.append("note: some queries were clamped by --cap; counts will not fully balance")
+    _write_output("-", "".join(f"{line}\n" for line in lines))
     return EXIT_OK
 
 
@@ -219,7 +241,8 @@ def cmd_export_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    raw = _read_bytes(args.spec)
+    with _reading(args.spec) as stream:
+        raw = stream.read()
     try:
         obj = json.loads(raw.decode("utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge integers, deep nesting
@@ -249,30 +272,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
     ):
         raise CliError(EXIT_VALIDATION, "spec.classes: expected an array of the keys of concept_groups")
     seed = args.seed if args.seed is not None else obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise CliError(EXIT_VALIDATION, "spec.seed: expected an integer")
-
-    dataset = generate(spec, seed)
+    with _validation("spec: "):
+        dataset = generate(spec, seed)
     _write_output(args.out, serialize_jsonl(dataset))
-    if args.out and args.out != "-":
-        print(f"wrote {dataset.n} records to {args.out} (rng splitmix64, seed {seed})")
+    if args.out != "-":
+        _write_output("-", f"wrote {dataset.n} records to {args.out} (rng splitmix64, seed {seed})\n")
     return EXIT_OK
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     dataset, _ = _load_dataset(args)
     masks = dataset.masks
-    print(f"records: {dataset.n}")
-    print(f"classes: {len(dataset.classes)}")
-    print(f"concepts: {len(dataset.concepts)}")
-    print()
-    print("class histogram:")
-    for y in dataset.classes:
-        print(f"  {y}: {masks[y].bit_count()}")
-    print()
-    print("concept histogram:")
-    for c in dataset.concepts:
-        print(f"  {c}: {masks[c].bit_count()}")
+    lines = [f"records: {dataset.n}", f"classes: {len(dataset.classes)}", f"concepts: {len(dataset.concepts)}"]
+    lines += ["", "class histogram:", *(f"  {y}: {masks[y].bit_count()}" for y in dataset.classes)]
+    lines += ["", "concept histogram:", *(f"  {c}: {masks[c].bit_count()}" for c in dataset.concepts)]
     pairs = [
         (label, concept, (masks[label] & masks[concept]).bit_count())
         for label in dataset.classes
@@ -280,10 +293,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     ]
     pairs = [(y, c, w) for y, c, w in pairs if w > 0]
     pairs.sort(key=lambda t: (-t[2], t[0], t[1]))
-    print()
-    print("top class-concept pairs:")
-    for y, c, w in pairs[:20]:
-        print(f"  ({y}, {c}): {w}")
+    lines += ["", "top class-concept pairs:", *(f"  ({y}, {c}): {w}" for y, c, w in pairs[:20])]
+    _write_output("-", "".join(f"{line}\n" for line in lines))
     return EXIT_OK
 
 
@@ -341,25 +352,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", parents=[common], help="write a full diagnosis report (JSON)")
     _add_dataset_flags(p)
     _add_diagnosis_flags(p)
-    p.add_argument("--out", default=None, help="report path (default: stdout)")
+    p.add_argument("--out", default="-", help="report path (default: stdout)")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("sample", parents=[common], help="write a rebalance generation plan (JSONL)")
     _add_dataset_flags(p)
     _add_diagnosis_flags(p)
-    p.add_argument("--out", default=None, help="plan path (default: stdout, summary suppressed)")
+    p.add_argument("--out", default="-", help="plan path (default: stdout, summary suppressed)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("export-graph", parents=[common], help="write the co-occurrence graph")
     _add_dataset_flags(p)
     p.add_argument("--min-support", type=int, default=1, help="minimum edge weight to keep")
     p.add_argument("--graph-format", choices=["dot", "json"], default="json")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.add_argument("--out", default="-", help="output path (default: stdout)")
     p.set_defaults(func=cmd_export_graph)
 
     p = sub.add_parser("synth", parents=[common], help="generate a biased dataset from a spec file")
     p.add_argument("spec", help="BiasSpec JSON file")
-    p.add_argument("--out", default=None, help="dataset path (default: stdout)")
+    p.add_argument("--out", default="-", help="dataset path (default: stdout)")
     p.add_argument("--seed", type=int, default=None, help="override the spec file's seed")
     p.set_defaults(func=cmd_synth)
 
@@ -373,19 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
-        return code
-    except BrokenPipeError:
-        # The reader went away (``| head``); later flushes go to devnull.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        err = CliError(EXIT_IO, "cannot write stdout: the reader closed the pipe")
-    except CliError as caught:
-        err = caught
-    _emit_error(err, args.json_errors)
-    return err.exit_code
+        return args.func(args)
+    except CliError as err:
+        _emit_error(err, args.json_errors)
+        return err.exit_code
 
 
 def entrypoint() -> None:

@@ -7,7 +7,8 @@ Reports and plans serialize to byte-stable JSON (sorted keys, two-space
 indent, LF line endings, trailing newline) so that repeated runs over the
 same input are byte-identical and diff cleanly; ``report_dict`` passes the
 pipeline's own tuples and dicts. Writes go through a temp file and a rename;
-the file gets the mode a plain ``open`` would give it.
+the file gets the mode a plain ``open`` would give it. A FIFO or a device is
+written in place, and a symlink's target is replaced, not the link.
 
 ``canonical_chunks`` yields the text ``json.dumps`` would write with those
 settings, in pieces, without ``json.dumps``: once an indent is set, CPython
@@ -25,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import stat
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -287,18 +289,30 @@ def sha256_hex(data: bytes) -> str:
 def write_text(path: Path, text: str | Iterable[str]) -> None:
     """Write ``text``, one string or an iterable of pieces, atomically.
 
-    The pieces go to a temp file in the target directory, which is then
-    renamed over ``path``; on any error the temp file is removed. The file
-    gets mode 0o666 less the umask, as a plain ``open`` would give it.
+    The pieces go to a temp file in the directory of the file ``path`` names
+    once links are followed, which is then renamed onto that file, so a
+    symlink stays a link; on any error the temp file is removed. The file gets
+    mode 0o666 less the umask, as a plain ``open`` would give it. A path that
+    exists and is not a regular file, such as a FIFO or a device, is opened
+    and written in place, never replaced.
     """
-    path = Path(path)
+    target = Path(os.path.realpath(path))
+    pieces = (text,) if isinstance(text, str) else text
+    try:
+        in_place = not stat.S_ISREG(target.stat().st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with target.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+        return
     # os.open applies the umask to the mode; tempfile.mkstemp would fix 0o600.
-    tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+    tmp = target.parent / f"tmp{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines((text,) if isinstance(text, str) else text)
-        os.replace(tmp, path)
+            fh.writelines(pieces)
+        os.replace(tmp, target)
     except BaseException:
         try:
             os.unlink(tmp)

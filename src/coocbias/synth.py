@@ -63,10 +63,13 @@ class SplitMix64:
     xor-shift-multiply rounds. Tiny state, full 2^64 period, and completely
     reproducible across platforms, which is all the generator needs. The
     outputs come from one iterator over 512-output batches (see the module
-    docstring), which every draw reads directly.
+    docstring), which every draw reads directly. The seed is any ``int``
+    (not a ``bool``), taken modulo 2^64; anything else raises ValueError.
     """
 
     def __init__(self, seed: int) -> None:
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self._u64 = chain.from_iterable(_batches(seed & _MASK))
 
     def next_u64(self) -> int:

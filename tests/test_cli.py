@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import unicodedata
@@ -388,6 +389,13 @@ class TestSynth:
         assert main(["synth", str(path)]) == 1
         assert "per_class_n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [1.5, True, "7"], ids=repr)
+    def test_non_integer_seed_exits_1(self, tmp_path, capsys, seed):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(SPEC, seed=seed)), encoding="utf-8")
+        assert main(["synth", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: spec: seed must be an integer, got {seed!r}\n")
+
     def test_classes_mismatch_rejected(self, tmp_path, capsys):
         spec = dict(SPEC, classes=["landbird"])
         path = tmp_path / "spec.json"
@@ -727,3 +735,107 @@ class TestRealProcesses:
         assert main(["synth", str(spec_file), "--out", str(dataset)]) == 0
         assert main(["diagnose", "--input", str(dataset), "--out", str(report)]) == 0
         assert diagnosed.stdout == report.read_bytes()
+
+
+STDOUT_WRITERS = {
+    "diagnose": ["diagnose", "--input", "{d4}"],
+    "sample": ["sample", "--input", "{d4}"],
+    "export-graph": ["export-graph", "--input", "{d4}"],
+    "synth": ["synth", "{spec}"],
+    "stats": ["stats", "--input", "{d4}"],
+    "sample-summary": ["sample", "--input", "{d4}", "--out", "{out}"],
+    "synth-summary": ["synth", "{spec}", "--out", "{out}"],
+}
+
+
+class TestStreamFailures:
+    """Real processes whose stdin or stdout fails or is closed: exit 2, one error line, no traceback."""
+
+    @pytest.fixture
+    def fill(self, tmp_path, d4_jsonl, spec_file):
+        def fill(command):
+            return cli(*(arg.format(d4=d4_jsonl, spec=spec_file, out=tmp_path / "out") for arg in command))
+
+        return fill
+
+    @staticmethod
+    def assert_fails(proc, message):
+        assert (proc.returncode, proc.stderr.decode("utf-8")) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["synth", "-"], ["diagnose", "--input", "{d4}", "--vocab", "-"], ["diagnose", "--input", "-"]],
+        ids=["synth", "vocab", "input"],
+    )
+    def test_write_only_stdin_exits_2(self, tmp_path, fill, command):
+        with open(tmp_path / "sink", "wb") as stdin:
+            proc = subprocess.run(fill(command), stdin=stdin, capture_output=True, env=ENV, timeout=60)
+        self.assert_fails(proc, "cannot read -: Bad file descriptor")
+
+    def test_non_blocking_stdin_without_data_exits_2(self):
+        # The writer has sent two of four records and paused; the input is not at its end.
+        lines = D4_JSONL.splitlines(keepends=True)
+        assert len(lines) == 4
+        r, w = os.pipe()
+        try:
+            os.set_blocking(r, False)
+            os.write(w, "".join(lines[:2]).encode("utf-8"))
+            proc = subprocess.run(cli("diagnose", "--input", "-"), stdin=r, capture_output=True, env=ENV, timeout=60)
+        finally:
+            os.close(r)
+            os.close(w)
+        self.assert_fails(proc, "cannot read -: Resource temporarily unavailable")
+        assert proc.stdout == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", STDOUT_WRITERS.values(), ids=STDOUT_WRITERS.keys())
+    def test_stdout_on_a_full_device_exits_2(self, tmp_path, fill, command):
+        with open("/dev/full", "wb") as stdout:
+            proc = subprocess.run(fill(command), stdout=stdout, stderr=subprocess.PIPE, env=ENV, timeout=60)
+        self.assert_fails(proc, "cannot write stdout: No space left on device")
+        assert (tmp_path / "out").exists() == ("--out" in command)
+
+    @pytest.mark.parametrize("command", STDOUT_WRITERS.values(), ids=STDOUT_WRITERS.keys())
+    def test_closed_stdout_exits_2(self, tmp_path, fill, command):
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *fill(command)], capture_output=True, env=ENV, timeout=60)
+        self.assert_fails(proc, "cannot write stdout: stdout is closed")
+        assert (tmp_path / "out").exists() == ("--out" in command)
+
+    def test_closed_stdout_with_out_file_exits_0(self, tmp_path, d4_jsonl):
+        out, expected = tmp_path / "report.json", tmp_path / "expected.json"
+        args = cli("diagnose", "--input", d4_jsonl, "--out", out)
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *args], capture_output=True, env=ENV, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert main(["diagnose", "--input", str(d4_jsonl), "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+
+class TestOutputPaths:
+    def test_fifo_is_written_in_place(self, tmp_path, d4_jsonl):
+        fifo, expected = tmp_path / "fifo", tmp_path / "expected.json"
+        os.mkfifo(fifo)
+        # A reader opened without blocking lets the writer open the FIFO at once;
+        # the report is far smaller than a pipe buffer, so the writer never waits.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            proc = subprocess.run(cli("diagnose", "--input", d4_jsonl, "--out", fifo), capture_output=True, env=ENV, timeout=60)
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert main(["diagnose", "--input", str(d4_jsonl), "--out", str(expected)]) == 0
+        assert received == expected.read_bytes()
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["target-exists", "dangling"])
+    def test_symlink_target_is_written_and_link_kept(self, tmp_path, d4_jsonl, existing):
+        (tmp_path / "reports").mkdir()
+        target, link, expected = tmp_path / "reports" / "report.json", tmp_path / "link.json", tmp_path / "expected.json"
+        if existing:
+            target.write_text("stale\n", encoding="utf-8")
+        link.symlink_to(Path("reports") / "report.json")
+        assert main(["diagnose", "--input", str(d4_jsonl), "--out", str(link)]) == 0
+        assert main(["diagnose", "--input", str(d4_jsonl), "--out", str(expected)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(Path("reports") / "report.json")
+        assert target.read_bytes() == expected.read_bytes()
+        assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == ["report.json"]

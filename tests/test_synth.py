@@ -46,6 +46,14 @@ class TestSplitMix64:
     def test_seed_wraps_to_64_bits(self):
         assert SplitMix64(2**64 + 5).next_u64() == SplitMix64(5).next_u64()
 
+    @pytest.mark.parametrize("seed", [1.5, True, "7", None], ids=repr)
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            SplitMix64(seed)
+        spec = BiasSpec(groups=TWO_GROUPS, rho=0.95, per_class_n=2)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            generate(spec, seed)
+
     @PROPERTY_SETTINGS
     @given(st.integers(0, 2**64 - 1))
     def test_random_unit_interval(self, seed):
