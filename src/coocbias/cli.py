@@ -29,7 +29,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import chain
 from pathlib import Path
 from typing import IO
@@ -80,27 +80,32 @@ def _emit_error(err: CliError, json_errors: bool) -> None:
 
 
 @contextmanager
-def _reading(path: str) -> Iterator[IO[bytes]]:
-    """Yield ``path``, or stdin for ``-``, as a binary stream.
+def _reading(path: str, digest: hashlib._Hash | None = None) -> Iterator[IO[bytes]]:
+    """Yield ``path``, or stdin for ``-``, as a buffered binary stream.
 
-    An OSError raised while the stream is open exits 2 naming ``path``.
+    Every byte read is fed to ``digest`` when one is given. An OSError raised
+    while the stream is open exits 2 naming ``path``; so does a non-blocking
+    stdin that has no data yet.
     """
     try:
-        if path != "-":
-            with open(path, "rb") as stream:
-                yield stream
-        elif sys.stdin is None:  # the process started with file descriptor 0 closed
+        if path == "-" and sys.stdin is None:  # the process started with file descriptor 0 closed
             raise CliError(EXIT_IO, "cannot read -: stdin is closed")
-        else:
-            yield sys.stdin.buffer
+        with open(path, "rb") if path != "-" else nullcontext(sys.stdin.buffer) as source:
+            with io.BufferedReader(_CheckedReader(source, digest)) as stream:
+                yield stream
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-class _HashingReader(io.RawIOBase):
-    """A raw stream over ``source`` that feeds every byte it reads to ``digest``."""
+class _CheckedReader(io.RawIOBase):
+    """A raw stream over ``source`` that feeds every byte it reads to ``digest``, if any.
 
-    def __init__(self, source: IO[bytes], digest: hashlib._Hash) -> None:
+    A non-blocking source with no data yet returns None, which a
+    BufferedReader would take for the end of the input and ``read()`` would
+    return; here it raises EAGAIN.
+    """
+
+    def __init__(self, source: IO[bytes], digest: hashlib._Hash | None) -> None:
         self.source = source
         self.digest = digest
 
@@ -109,11 +114,10 @@ class _HashingReader(io.RawIOBase):
 
     def readinto(self, buffer) -> int:
         n = self.source.readinto(buffer)
-        # A non-blocking source with no data yet returns None, which a
-        # BufferedReader would take for the end of the input.
         if n is None:
             raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        self.digest.update(memoryview(buffer)[:n])
+        if self.digest is not None:
+            self.digest.update(memoryview(buffer)[:n])
         return n
 
 
@@ -173,10 +177,9 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
         fmt = "csv" if args.input.lower().endswith(".csv") else "jsonl"
     parse = parse_csv if fmt == "csv" else parse_jsonl
     digest = hashlib.sha256()
-    with _reading(args.input) as source:
+    with _reading(args.input, digest) as stream:
         vocab = _load_vocab(args.vocab)
-        with io.BufferedReader(_HashingReader(source, digest)) as stream:
-            dataset, report = parse(stream, strict=not args.lenient, vocabulary=vocab)
+        dataset, report = parse(stream, strict=not args.lenient, vocabulary=vocab)
     for w in report.warnings:
         print(f"warning: {w.record_id or '-'}: {w.message}", file=sys.stderr)
     if dataset is not None and report.errors:

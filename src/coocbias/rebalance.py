@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .cliques import Clique, CliqueFrequencyTable, Provenance, _not_str, _uneven
-from .dataset import AnnotationRecord, Dataset
+from .dataset import Dataset, _Columns
 
 __all__ = [
     "PromptTemplate",
@@ -259,9 +259,11 @@ def apply_virtual(dataset: Dataset, plan: GenerationPlan) -> Dataset:
         unknown = set(query.concepts) - concepts
         if unknown:
             raise ValueError(f"query references unknown concepts: {sorted(unknown)!r}")
+    ids, labels, lists = dataset._rows()
     # Only an id with the "synthetic-" prefix can collide with a fresh one.
-    existing = {r.id for r in dataset.records if r.id.startswith("synthetic-")}
-    new: list[AnnotationRecord] = []
+    existing = {rid for rid in ids if rid.startswith("synthetic-")}
+    grown = _Columns(list(ids), list(labels), list(lists))
+    ids, labels, lists = grown
     seq = 0
     for query in plan.queries:
         label = query.label
@@ -273,5 +275,7 @@ def apply_virtual(dataset: Dataset, plan: GenerationPlan) -> Dataset:
             while rid in existing:
                 seq += 1
                 rid = f"synthetic-{seq}"
-            new.append(AnnotationRecord(rid, label, concepts))
-    return replace(dataset, records=dataset.records + tuple(new))
+            ids.append(rid)
+            labels.append(label)
+            lists.append(concepts)
+    return Dataset(records=grown, classes=dataset.classes, concepts=dataset.concepts)

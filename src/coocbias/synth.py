@@ -27,7 +27,7 @@ import struct
 from dataclasses import dataclass
 from itertools import chain
 
-from .dataset import AnnotationRecord, Dataset
+from .dataset import Dataset, _Columns, _from_columns
 
 __all__ = ["SplitMix64", "BiasSpec", "generate"]
 
@@ -162,7 +162,8 @@ def generate(spec: BiasSpec, seed: int) -> Dataset:
     rho = spec.rho
     labels = sorted(spec.groups)
     lo, hi = spec.concepts_per_record
-    records: list[AnnotationRecord] = []
+    rows = _Columns([], [], [])
+    ids, row_labels, lists = rows
     # One tuple per distinct concept list, as the parsers share them.
     shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     for label in labels:
@@ -174,5 +175,7 @@ def generate(spec: BiasSpec, seed: int) -> Dataset:
             size = lo + randrange(hi - lo + 1)
             pool = own if tied else others[pick]
             concepts = tuple(sorted(sample(pool, min(size, len(pool)))))
-            records.append(AnnotationRecord(f"{label}-{i}", label, shared.setdefault(concepts, concepts)))
-    return Dataset.from_records(records)
+            ids.append(f"{label}-{i}")
+            row_labels.append(label)
+            lists.append(shared.setdefault(concepts, concepts))
+    return _from_columns(rows)

@@ -787,6 +787,23 @@ class TestStreamFailures:
         self.assert_fails(proc, "cannot read -: Resource temporarily unavailable")
         assert proc.stdout == b""
 
+    @pytest.mark.parametrize("sent", [b"", json.dumps(SPEC).encode("utf-8")[:20]], ids=["no-data", "partial"])
+    @pytest.mark.parametrize(
+        "command", [["synth", "-"], ["diagnose", "--input", "{d4}", "--vocab", "-"]], ids=["synth", "vocab"]
+    )
+    def test_non_blocking_stdin_read_whole_exits_2(self, fill, command, sent):
+        # The spec and the vocabulary are read whole; a paused writer is a failed read, not a short file.
+        r, w = os.pipe()
+        try:
+            os.set_blocking(r, False)
+            os.write(w, sent)
+            proc = subprocess.run(fill(command), stdin=r, capture_output=True, env=ENV, timeout=60)
+        finally:
+            os.close(r)
+            os.close(w)
+        self.assert_fails(proc, "cannot read -: Resource temporarily unavailable")
+        assert proc.stdout == b""
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("command", STDOUT_WRITERS.values(), ids=STDOUT_WRITERS.keys())
     def test_stdout_on_a_full_device_exits_2(self, tmp_path, fill, command):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coocbias.cli import main
 from coocbias.dataset import (
     AnnotationRecord,
     Dataset,
@@ -24,6 +25,9 @@ from coocbias.dataset import (
     Vocabulary,
     serialize_jsonl,
 )
+from coocbias.rebalance import apply_virtual
+from coocbias.report import DiagnosisConfig, canonical_chunks, diagnose, plan_jsonl, report_dict
+from coocbias.synth import BiasSpec, generate
 from support import COPIERS, D4_CSV, D4_JSONL, contains, datasets, reference_finalize, reference_parse
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -563,7 +567,7 @@ class TestStreamedParse:
             finally:
                 tracemalloc.stop()
         assert rep.ok and ds.n == n
-        # What a parse adds on top of what it keeps is mostly the id set.
+        # What a parse adds on top of what it keeps is mostly the id check's buckets.
         assert peak < kept + size / 2, f"traced peak {peak} B with {kept} B kept, on a {size} B input"
 
 
@@ -710,3 +714,114 @@ class TestRoundTrip:
         ds_csv, rep = parse_csv(csv_text)
         assert rep.ok
         assert ds_csv == ds
+
+
+def _made_three_ways(ds):
+    """``ds`` parsed back from its JSONL, through ``from_records``, and built directly from records."""
+    records = ds.records
+    parsed, rep = parse_jsonl(serialize_jsonl(ds))
+    assert rep.ok
+    return {
+        "parsed": parsed,
+        "from_records": Dataset.from_records(records),
+        "direct": Dataset(records=records, classes=ds.classes, concepts=ds.concepts),
+    }
+
+
+class TestColumnBackedDataset:
+    """Rows held as columns or as the records they were built from make the same value."""
+
+    @PROPERTY_SETTINGS
+    @given(datasets())
+    def test_every_construction_agrees(self, ds):
+        made = _made_three_ways(ds)
+        first = made["direct"]
+        for kind, other in made.items():
+            assert other == first and hash(other) == hash(first) and repr(other) == repr(first), kind
+            assert (other.n, other.masks) == (first.n, first.masks), kind
+            assert [f.name for f in dataclasses.fields(other)] == ["records", "classes", "concepts"], kind
+            assert dataclasses.replace(other) == other, kind
+            assert dataclasses.replace(other, classes=other.classes).masks == other.masks, kind
+
+    @COPIERS
+    @settings(max_examples=40, deadline=None)
+    @given(ds=datasets())
+    def test_copies_before_and_after_reads(self, copier, ds):
+        for kind, made in _made_three_ways(ds).items():
+            before = copier(made)  # nothing read or cached yet
+            made.records, made.masks
+            after = copier(made)
+            assert before == made == after, kind
+            assert before.n == made.n == after.n, kind
+            assert before.masks == made.masks == after.masks, kind
+
+    def test_records_is_built_once(self):
+        parsed, _ = parse_jsonl(D4_JSONL)
+        assert parsed.records is parsed.records
+        given_records = parsed.records
+        direct = Dataset(records=given_records, classes=parsed.classes, concepts=parsed.concepts)
+        assert direct.records is given_records
+
+    def test_records_field_stays_required_and_frozen(self):
+        with pytest.raises(TypeError, match="records"):
+            Dataset(classes=("A",), concepts=("x",))
+        parsed, _ = parse_jsonl(D4_JSONL)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            parsed.records = ()
+
+
+class TestRecordsBuiltOnlyWhenRead:
+    """The CLI subcommands that read a dataset and the library loop build no AnnotationRecord."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """How many AnnotationRecords were constructed since the fixture started."""
+        count = [0]
+        init = AnnotationRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnnotationRecord, "__init__", counting_init)
+        AnnotationRecord("r0", "A", ())
+        assert count == [1]  # the wrapper sees every construction
+        count[0] = 0
+        return count
+
+    @pytest.fixture
+    def input_path(self, tmp_path):
+        groups = {"cat": ("sofa", "rug", "lamp"), "dog": ("grass", "ball", "tree"), "owl": ("moon", "branch", "barn")}
+        spec = BiasSpec(groups=groups, rho=0.7, per_class_n=40)
+        path = tmp_path / "input.jsonl"
+        path.write_text(serialize_jsonl(generate(spec, 3)), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["diagnose", "--relax", "0.5"],
+            ["sample", "--cap", "3"],
+            ["stats"],
+            ["export-graph", "--graph-format", "dot"],
+            ["export-graph"],
+        ],
+        ids=["diagnose", "sample", "stats", "export-graph-dot", "export-graph-json"],
+    )
+    def test_cli_builds_no_record(self, built, input_path, capsys, args):
+        assert main([args[0], "--input", str(input_path), *args[1:]]) == 0
+        assert capsys.readouterr().out
+        assert built == [0]
+
+    def test_library_loop_builds_no_record(self, built, input_path):
+        dataset, _ = parse_jsonl(input_path)
+        diagnosis = diagnose(dataset, DiagnosisConfig(k_max=3, relax_fraction=0.5))
+        assert "".join(canonical_chunks(report_dict(diagnosis, dataset, "0" * 64)))
+        assert plan_jsonl(diagnosis.plan)
+        grown = apply_virtual(dataset, diagnosis.plan)
+        assert grown.n > dataset.n
+        diagnose(grown, DiagnosisConfig(k_max=3, relax_fraction=0.5))
+        assert serialize_jsonl(grown)
+        assert built == [0]
+        assert len(grown.records) == grown.n  # reading records is what builds them
+        assert built == [grown.n]

@@ -590,3 +590,24 @@ class TestApplyVirtualIds:
             ("synthetic-6", "A", ("y",)),
             ("synthetic-7", "A", ("y",)),
         ]
+
+    def test_ids_skip_synthetic_ids_of_a_parsed_dataset(self):
+        # A parsed dataset holds its rows as columns; the id scan reads those.
+        ds, report = parse_jsonl(
+            '{"id": "synthetic-2", "label": "A", "concepts": ["x"]}\n'
+            '{"id": "synthetic-3", "label": "B", "concepts": ["x"]}\n'
+            '{"id": "r3", "label": "B", "concepts": ["x"]}\n'
+        )
+        assert report.ok
+        table = CliqueFrequencyTable(classes=("A", "B"), counts={1: {("x",): {"A": 1, "B": 4}}})
+        plan, _ = rebalance_plan(table)
+        grown = apply_virtual(ds, plan)
+        assert [(r.id, r.label, r.concepts) for r in grown.records] == [
+            ("synthetic-2", "A", ("x",)),
+            ("synthetic-3", "B", ("x",)),
+            ("r3", "B", ("x",)),
+            ("synthetic-1", "A", ("x",)),
+            ("synthetic-4", "A", ("x",)),
+            ("synthetic-5", "A", ("x",)),
+        ]
+        assert grown == Dataset.from_records(grown.records)
