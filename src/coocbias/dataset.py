@@ -112,9 +112,9 @@ class _RecordsField:
 
     ``__init__`` sets it either to a tuple of records, which is kept and split
     into columns when they are first needed, or to ``_Columns``, from which
-    the first read builds the records (about 0.16 s and 6 MiB per 100k rows)
-    and caches them. Read on the class it raises AttributeError, so the
-    dataclass field has no default and stays required.
+    the first read builds the records and caches them. Read on the class it
+    raises AttributeError, so the dataclass field has no default and stays
+    required.
     """
 
     def __get__(self, obj, owner=None):
@@ -143,8 +143,9 @@ class Dataset:
 
     The rows are held as columns (ids, labels, shared concept tuples); ``n``,
     ``masks`` and the package's own stages read those. ``records`` is built
-    from them on its first read and cached, one slotted record per row;
-    ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` read it.
+    from them on its first read and cached, one slotted record per row, at
+    about 0.16 s and 6 MiB per 100k rows (CPython 3.11, 2-vCPU VM); ``==``,
+    ``hash``, ``repr`` and ``dataclasses.replace`` read it.
     """
 
     records: tuple[AnnotationRecord, ...] = _RecordsField()
