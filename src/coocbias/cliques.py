@@ -14,15 +14,27 @@ classes through ``common_cliques``; the other entry points are per class.
 
 Cliques are represented as sorted tuples of concept names so that equality,
 hashing, and report ordering are canonical without extra bookkeeping.
+
+Cost model: ``frequency_table`` writes its counts into columns, per level the
+clique tuple of ``common`` and one ``array`` of ``len(classes)`` counts per
+clique (8 bytes a count), and builds no per-clique dict. The cliques whose
+counts differ are found in one pass over those arrays, which the table keeps
+for ``imbalanced_cliques`` and ``rebalance_plan`` to share. The table's
+``counts`` dicts are built only when read. Once read, or when a table is
+built from dicts, the dicts are the counts: each consumer derives its columns
+from them on every call, so a change made to them shows in the next result.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from operator import ne, or_
+from typing import NamedTuple
 
 from .dataset import Dataset
 from .graph import CooccurrenceGraph
@@ -179,6 +191,81 @@ class Provenance(enum.Enum):
     ADJUSTED = "adjusted"
 
 
+# Per level: the cliques, and one array holding len(classes) counts per
+# clique, in clique order and then in classes order.
+_Levels = dict[int, tuple[tuple[Clique, ...], array]]
+
+
+class _Columns(NamedTuple):
+    """A table's counts as columns; no one mutates them once built."""
+
+    levels: _Levels
+
+
+class _Overlay(NamedTuple):
+    """An adjusted table's counts: its base table and, per level, the base's
+    cliques and the rows the plan changed, by position."""
+
+    base: "CliqueFrequencyTable"
+    changed: dict[int, tuple[tuple[Clique, ...], dict[int, array]]]
+
+
+def _row(counts: array, i: int, width: int) -> array:
+    """A copy of row i of ``counts``: the ``width`` counts of clique i."""
+    return counts[i * width : i * width + width]
+
+
+def _view(classes: tuple[str, ...], source: _Columns | _Overlay) -> dict[int, dict[Clique, dict[str, int]]]:
+    """The dict-of-dicts ``counts`` of a table held as ``source``."""
+    if isinstance(source, _Columns):
+        c = len(classes)
+        return {
+            k: {q: dict(zip(classes, _row(counts, i, c))) for i, q in enumerate(cliques)}
+            for k, (cliques, counts) in source.levels.items()
+        }
+    changed = {
+        k: {cliques[i]: dict(zip(classes, row)) for i, row in rows.items()}
+        for k, (cliques, rows) in source.changed.items()
+    }
+    # Each level's changed cliques are keys of the base level, so its key order stays.
+    return {k: level | changed.get(k, {}) for k, level in source.base.counts.items()}
+
+
+class _CountsField:
+    """The ``CliqueFrequencyTable.counts`` field: a dict view over the table's columns.
+
+    ``__init__`` sets it either to dicts, which are kept and are the table's
+    counts from then on, or to ``_Columns`` or ``_Overlay``, from which the
+    first read builds the dicts and caches them. Read on the class it raises
+    AttributeError, so the dataclass field has no default and stays required.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("counts")
+        state = obj.__dict__
+        if state["_counts"] is None:
+            state["_counts"] = _view(obj.classes, state["_source"])
+        return state["_counts"]
+
+    def __set__(self, obj, value) -> None:
+        if isinstance(value, (_Columns, _Overlay)):
+            obj.__dict__.update(_counts=None, _source=value, _scanned=None)
+        else:
+            obj.__dict__.update(_counts=value, _source=None, _scanned=None)
+
+
+def _uneven(counts: array, width: int) -> array:
+    """Positions of the rows of ``width`` counts whose counts are not all equal."""
+    if width < 2:
+        return array("q")
+    first = counts[::width]
+    differ = map(ne, first, counts[1::width])
+    for j in range(2, width):
+        differ = map(or_, differ, map(ne, first, counts[j::width]))
+    return array("q", compress(range(len(first)), differ))
+
+
 @dataclass
 class CliqueFrequencyTable:
     """Per-class record counts for each common clique, grouped by level.
@@ -187,24 +274,65 @@ class CliqueFrequencyTable:
     containing every concept in the clique. Every class has an entry for
     every clique (zero when no record matches). ``provenance`` starts as
     ORIGINAL; planned synthetic counts flip it to ADJUSTED.
+
+    A table from ``frequency_table`` holds, per level, the clique tuple of
+    ``common`` and one ``array`` of ``len(classes)`` counts per clique;
+    ``imbalanced_cliques`` and ``rebalance_plan`` read those columns and share
+    one scan for the cliques whose counts differ. ``counts`` builds one dict
+    per clique on its first read and caches them. From then on, as for a
+    table built with ``counts=`` dicts, the dicts are the table's counts:
+    every consumer, ``copy()`` included, reads them again on each call, so a
+    change made to them shows. ``==`` and ``repr`` read ``counts``.
     """
 
     classes: tuple[str, ...]
-    counts: dict[int, dict[Clique, dict[str, int]]]
+    counts: dict[int, dict[Clique, dict[str, int]]] = _CountsField()
     provenance: Provenance = field(default=Provenance.ORIGINAL)
 
+    def _levels(self) -> _Levels:
+        """The columns; derived from ``counts`` on each call once the table holds dicts."""
+        state = self.__dict__
+        counts, source = state["_counts"], state["_source"]
+        if counts is not None:
+            return {
+                k: (tuple(level), array("q", [per[y] for per in level.values() for y in self.classes]))
+                for k, level in counts.items()
+            }
+        if isinstance(source, _Columns):
+            return source.levels
+        c = len(self.classes)
+        levels = dict(source.base._levels())
+        for k, (cliques, rows) in source.changed.items():
+            counts = array("q", levels[k][1])
+            for i, row in rows.items():
+                counts[i * c : i * c + c] = row
+            levels[k] = (cliques, counts)
+        return levels
+
+    def _scan(self) -> tuple[_Levels, dict[int, array]]:
+        """The columns and, per level, the positions of the cliques whose counts
+        differ; kept for later calls while the table holds only its own columns."""
+        state = self.__dict__
+        cacheable = state["_counts"] is None and isinstance(state["_source"], _Columns)
+        if cacheable and state["_scanned"] is not None:
+            return state["_scanned"]
+        levels = self._levels()
+        scan = levels, {k: _uneven(counts, len(self.classes)) for k, (_, counts) in levels.items()}
+        if cacheable:
+            state["_scanned"] = scan
+        return scan
+
     def levels(self) -> tuple[int, ...]:
-        return tuple(sorted(self.counts))
+        counts = self.__dict__["_counts"]
+        return tuple(sorted(counts if counts is not None else self._levels()))
 
     def copy(self) -> "CliqueFrequencyTable":
-        return CliqueFrequencyTable(
-            classes=self.classes,
-            counts={
-                k: {q: dict(per) for q, per in table.items()}
-                for k, table in self.counts.items()
-            },
-            provenance=self.provenance,
-        )
+        if self.__dict__["_counts"] is None:
+            # Columns are never mutated, so the copy may share them.
+            counts = _Columns(self._levels())
+        else:
+            counts = {k: {q: dict(per) for q, per in table.items()} for k, table in self.counts.items()}
+        return CliqueFrequencyTable(classes=self.classes, counts=counts, provenance=self.provenance)
 
 
 def _not_str(clique: Clique) -> None:
@@ -236,20 +364,26 @@ def frequency_table(
 
     A clique's count for a class is the popcount of its concepts' record
     bitsets (``dataset.masks``) ANDed with the class's bitset. Each clique
-    costs k ANDs plus one popcount per class over n-bit sets; cliques
-    sharing a prefix redo the prefix's ANDs.
+    ANDs its last concept onto the mask of its (k-1)-prefix, which
+    consecutive cliques of a sorted level share, then takes one popcount per
+    class over n-bit sets. The counts go straight into the table's columns,
+    one ``array`` per level; no per-clique dict is built.
     """
     masks = dataset.masks
-    counts: dict[int, dict[Clique, dict[str, int]]] = {}
+    class_masks = [masks[y] for y in dataset.classes]
+    levels: _Levels = {}
     for k, cliques in common.items():
-        level: dict[Clique, dict[str, int]] = {}
+        counts = array("q")
+        prefix: Clique | None = None
         for q in cliques:
-            mask = ~0
-            for c in q:
-                mask &= masks[c]
-            level[q] = {y: (mask & masks[y]).bit_count() for y in dataset.classes}
-        counts[k] = level
-    return CliqueFrequencyTable(classes=dataset.classes, counts=counts)
+            if q[:-1] != prefix:
+                prefix, shared = q[:-1], ~0
+                for c in prefix:
+                    shared &= masks[c]
+            mask = shared & masks[q[-1]] if q else shared
+            counts.extend([(mask & m).bit_count() for m in class_masks])
+        levels[k] = (tuple(cliques), counts)
+    return CliqueFrequencyTable(classes=dataset.classes, counts=_Columns(levels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,11 +401,6 @@ class ImbalanceEntry:
     under_represented: tuple[str, ...]
 
 
-def _uneven(level: dict[Clique, dict[str, int]]) -> Iterator[tuple[Clique, dict[str, int]]]:
-    """The cliques of one level whose per-class counts differ, with those counts."""
-    return ((q, per) for q, per in level.items() if len(set(per.values())) > 1)
-
-
 def imbalanced_cliques(table: CliqueFrequencyTable) -> tuple[ImbalanceEntry, ...]:
     """Extract the cliques whose per-class counts differ, worst first.
 
@@ -282,18 +411,22 @@ def imbalanced_cliques(table: CliqueFrequencyTable) -> tuple[ImbalanceEntry, ...
     """
     if table.provenance is not Provenance.ORIGINAL:
         raise ValueError("imbalance extraction needs a table with original provenance")
+    levels, uneven = table._scan()
+    classes = table.classes
+    c = len(classes)
     entries: list[ImbalanceEntry] = []
-    for k in table.levels():
-        for q, per in _uneven(table.counts[k]):
-            m = max(per.values())
-            lo = min(per.values())
-            deficits = {y: m - n for y, n in per.items() if n < m}
+    for k, (cliques, counts) in levels.items():
+        for i in uneven[k]:
+            row = _row(counts, i, c)
+            m = max(row)
+            lo = min(row)
+            per = dict(zip(classes, row))
             entries.append(
                 ImbalanceEntry(
-                    concepts=q,
-                    per_class=dict(per),
+                    concepts=cliques[i],
+                    per_class=per,
                     max_count=m,
-                    deficits=deficits,
+                    deficits={y: m - n for y, n in per.items() if n < m},
                     under_represented=tuple(sorted(y for y, n in per.items() if n == lo)),
                 )
             )

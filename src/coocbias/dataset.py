@@ -598,6 +598,12 @@ def parse_csv(
     return _finalize(builder.rows, builder.positions, report, strict, vocabulary)
 
 
+_CSV_UNREADABLE = (
+    "unreadable CSV row (a carriage return outside quotes, a field over the csv module's size limit, "
+    "or a NUL on Python 3.10)"
+)
+
+
 def _read_csv(text: io.TextIOWrapper, builder: _RecordBuilder) -> bool:
     """Read the header and every row into ``builder``; False on a missing or bad header.
 
@@ -612,8 +618,10 @@ def _read_csv(text: io.TextIOWrapper, builder: _RecordBuilder) -> bool:
             row = next(reader)
         except StopIteration:
             break
-        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-            report.reject("", "malformed-line", f"line {reader.line_num}: {exc}")
+        except csv.Error:
+            # The csv module's own text differs between Python versions and
+            # advises on opening files in Python, so every csv.Error reads the same.
+            report.reject("", "malformed-line", f"line {reader.line_num}: {_CSV_UNREADABLE}")
             continue
         line_no = reader.line_num
         if not row or not any(cell.strip() for cell in row):

@@ -9,11 +9,13 @@ never over-produces: singleton gaps still open after the larger cliques are
 settled are exactly the remainder.
 
 The walk visits only the cliques that can need records: those whose original
-counts differ and those a planned superset credited, in the same order. The
-plan owns a copy of the per-class counts of each clique it changes, made from
-the input table on first use; the adjusted table is each input level with
-those copies laid over it. Every other clique's dict is shared with the input
-table, so callers who mutate the adjusted counts work on ``.copy()``.
+counts differ, which the table's one scan found, and those a planned superset
+credited, in the same order. It reads the table's count columns and owns a
+copy of the row of each clique it changes, made on first use. The adjusted
+table holds only the input table and those rows. Its ``counts``, when read,
+is each input level with the changed cliques' dicts laid over it; every other
+clique's dict is the input table's own, so callers who mutate the adjusted
+counts work on ``.copy()``.
 
 Each query carries a ready-to-use text prompt naming the class and the
 clique's concepts, plus a similarity threshold for filtering generated images
@@ -26,10 +28,11 @@ from __future__ import annotations
 
 import enum
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cliques import Clique, CliqueFrequencyTable, Provenance, _not_str, _uneven
+from .cliques import Clique, CliqueFrequencyTable, Provenance, _not_str, _Overlay, _row
 from .dataset import Dataset, _Columns
 
 __all__ = [
@@ -177,54 +180,63 @@ def rebalance_plan(
     balanced, so re-planning yields nothing; the cap, when hit, breaks that
     guarantee and is flagged on the query and the plan.
 
-    Each level of the adjusted table is the input level, in the same order,
-    with the plan's copies of the cliques it changes laid over it; a clique
-    the plan leaves unchanged keeps the input table's per-class dict:
+    The adjusted table holds the input table and the rows the plan changed.
+    Each level of its ``counts``, built when first read, is the input level,
+    in the same order, with dicts of the changed cliques laid over it; a
+    clique the plan leaves unchanged keeps the input table's per-class dict:
     ``adjusted.counts[k][q] is table.counts[k][q]``. A caller that mutates the
     adjusted counts should work on ``adjusted.copy()``.
     """
     if table.provenance is Provenance.ADJUSTED:
         raise ValueError("already balanced: the table's counts include planned records")
 
-    original = table.counts
-    # Per level, the plan's own copies of the cliques it changes.
-    owned: dict[int, dict[Clique, dict[str, int]]] = {k: {} for k in original}
+    levels, uneven = table._scan()
+    classes = table.classes
+    c = len(classes)
+    by_label = sorted(range(c), key=classes.__getitem__)
+    # Each lower level's cliques by position, to find the subsets a plan credits.
+    top = max(levels, default=0)
+    where = {k: {q: i for i, q in enumerate(cliques)} for k, (cliques, _) in levels.items() if k < top}
+    # Per level, the plan's own copies of the rows it changes, by position.
+    owned: dict[int, dict[int, array]] = {k: {} for k in levels}
 
-    def own(k: int, q: Clique) -> dict[str, int]:
-        """The plan's copy of clique q's counts, made from the input on first use."""
-        per = owned[k].get(q)
-        if per is None:
-            per = owned[k][q] = dict(original[k][q])
-        return per
+    def own(k: int, i: int) -> array:
+        """The plan's copy of the row of clique i at level k, made on first use."""
+        row = owned[k].get(i)
+        if row is None:
+            row = owned[k][i] = _row(levels[k][1], i, c)
+        return row
 
     cap = config.per_query_cap
     queries: list[GenerationQuery] = []
-    for k in sorted(original, reverse=True):
+    for k in sorted(levels, reverse=True):
+        cliques = levels[k][0]
         # Only a clique whose original counts differ, or one a planned
         # superset credited, can need records; the plan owns both kinds.
-        for q in sorted(owned[k].keys() | (q for q, _ in _uneven(original[k]))):
-            per = own(k, q)
-            m = max(per.values(), default=0)
-            short = [(label, m - per[label]) for label in sorted(per) if per[label] < m]
+        for i in sorted(owned[k].keys() | set(uneven[k]), key=cliques.__getitem__):
+            per = own(k, i)
+            m = max(per, default=0)
+            short = [(j, m - per[j]) for j in by_label if per[j] < m]
             if not short:
                 continue
+            q = cliques[i]
             # The prompt names only the concepts, so one serves every class.
-            prompt = render_prompt(config.template, short[0][0], q)
+            prompt = render_prompt(config.template, classes[short[0][0]], q)
             # A planned record holds every concept of q, so each proper
             # subset present at a lower level gains the same records.
             subsets = [
-                own(size, sub)
+                own(size, index[sub])
                 for size in range(1, k)
-                if original.get(size)
+                if (index := where.get(size))
                 for sub in itertools.combinations(q, size)
-                if sub in original[size]
+                if sub in index
             ]
-            for label, need in short:
+            for j, need in short:
                 capped = cap is not None and need > cap
                 count = cap if capped else need
                 queries.append(
                     GenerationQuery(
-                        label=label,
+                        label=classes[j],
                         concepts=q,
                         count=count,
                         prompt=prompt,
@@ -232,13 +244,12 @@ def rebalance_plan(
                         capped=capped,
                     )
                 )
-                per[label] += count
+                per[j] += count
                 for sub_per in subsets:
-                    sub_per[label] += count
+                    sub_per[j] += count
 
-    # owned[k] holds only keys of original[k], so the overlay keeps its key order.
-    counts = {k: level | owned[k] for k, level in original.items()}
-    adjusted = CliqueFrequencyTable(classes=table.classes, counts=counts, provenance=Provenance.ADJUSTED)
+    changed = {k: (levels[k][0], rows) for k, rows in owned.items() if rows}
+    adjusted = CliqueFrequencyTable(classes=classes, counts=_Overlay(table, changed), provenance=Provenance.ADJUSTED)
     return GenerationPlan(tuple(queries)), adjusted
 
 

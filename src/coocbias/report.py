@@ -83,9 +83,13 @@ class DiagnosisConfig:
 class Diagnosis:
     """All intermediate and final artifacts of one diagnosis run.
 
-    ``adjusted`` is ``table`` with the plan's own copies of the cliques it
-    changes laid over each level, so it shares the per-class dict of every
-    other clique with ``table``; mutate ``adjusted.copy()``, not ``adjusted``.
+    ``table`` holds its counts as columns and ``adjusted`` holds ``table``
+    plus the rows the plan changed; neither builds its per-clique ``counts``
+    dicts until they are read, and ``diagnose`` reads neither. Read,
+    ``adjusted.counts`` is ``table.counts`` with the plan's dicts of the
+    changed cliques laid over each level, so it shares the per-class dict of
+    every other clique with ``table``; mutate ``adjusted.copy()``, not
+    ``adjusted``.
     """
 
     config: DiagnosisConfig

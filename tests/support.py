@@ -3,9 +3,10 @@
 The oracles here deliberately reimplement the counting definitions by direct
 per-record scans and exhaustive subset checks. They share no code with the
 package beyond the record type, so agreement between the two is evidence,
-not tautology. ``reference_plan`` is the exception: it is the earlier
-per-query planner, kept as the judge of ``rebalance_plan`` and built from the
-package's own query and plan types. The synthetic generator and the JSONL
+not tautology. ``reference_plan`` and ``reference_frequency_table`` are the
+exceptions: they are the earlier per-query planner and dict-per-clique
+counter, kept as the judges of ``rebalance_plan`` and ``frequency_table`` and
+built from the package's own table, query and plan types. The synthetic generator and the JSONL
 writers likewise keep their earlier one-draw-at-a-time and ``json``-encoder
 versions here, as judges of the batched generator and the direct writers.
 """
@@ -312,6 +313,23 @@ def reference_finalize(candidates, report, strict: bool, vocab=None, unit: str =
     classes = tuple(sorted({r.label for r in survivors}))
     concepts = tuple(sorted(vocab.concepts if vocab is not None else {c for r in survivors for c in r.concepts}))
     return Dataset(records=tuple(survivors), classes=classes, concepts=concepts), report
+
+
+# Reference frequency table: the earlier counter, which builds one dict per
+# clique and ANDs every concept of every clique again; the judge of the
+# column-built table, its key order included.
+def reference_frequency_table(dataset: Dataset, common) -> CliqueFrequencyTable:
+    masks = dataset.masks
+    counts = {}
+    for k, cliques in common.items():
+        level = {}
+        for q in cliques:
+            mask = ~0
+            for c in q:
+                mask &= masks[c]
+            level[q] = {y: (mask & masks[y]).bit_count() for y in dataset.classes}
+        counts[k] = level
+    return CliqueFrequencyTable(classes=dataset.classes, counts=counts)
 
 
 # Reference planner: renders the prompt and looks up the lower-level subsets

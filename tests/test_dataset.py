@@ -487,7 +487,10 @@ def streamed_sources(data, path, sizes=(1, 7, 3)):
 
 
 ENCODING_ONLY = ValidationReport(errors=[ErrorEntry("", "encoding", "file is not valid UTF-8")])
-STRAY_CR = "new-line character seen in unquoted field - do you need to open the file in universal-newline mode?"
+STRAY_CR = (
+    "unreadable CSV row (a carriage return outside quotes, a field over the csv module's size limit, "
+    "or a NUL on Python 3.10)"
+)
 
 
 class TestStreamedParse:
