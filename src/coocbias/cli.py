@@ -44,7 +44,7 @@ from .report import (
     canonical_chunks,
     diagnose,
     plan_jsonl,
-    report_dict,
+    report_chunks,
     write_text,
 )
 from .synth import BiasSpec, generate
@@ -214,7 +214,7 @@ def _diagnose(args: argparse.Namespace) -> tuple[Dataset, str, Diagnosis]:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     dataset, digest, result = _diagnose(args)
-    _write_output(args.out, canonical_chunks(report_dict(result, dataset, digest)))
+    _write_output(args.out, report_chunks(result, dataset, digest))
     return EXIT_OK
 
 

@@ -23,6 +23,12 @@ for ``imbalanced_cliques`` and ``rebalance_plan`` to share. The table's
 ``counts`` dicts are built only when read. Once read, or when a table is
 built from dicts, the dicts are the counts: each consumer derives its columns
 from them on every call, so a change made to them shows in the next result.
+
+The imbalance list is ordered by one sort of the uneven (level, position)
+pairs, keyed on each count row, and ``ImbalanceEntry`` objects are built from
+the rows in that order. ``diagnose`` keeps the columns and the scan instead
+(``_Imbalances``) and builds the entries only when ``Diagnosis.imbalances`` is
+read; the report reads each entry's counts straight from the rows.
 """
 
 from __future__ import annotations
@@ -30,13 +36,14 @@ from __future__ import annotations
 import enum
 import math
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from operator import ne, or_
 from typing import NamedTuple
 
-from .dataset import Dataset
+from .dataset import Dataset, _LazyField
 from .graph import CooccurrenceGraph
 
 __all__ = [
@@ -231,30 +238,6 @@ def _view(classes: tuple[str, ...], source: _Columns | _Overlay) -> dict[int, di
     return {k: level | changed.get(k, {}) for k, level in source.base.counts.items()}
 
 
-class _CountsField:
-    """The ``CliqueFrequencyTable.counts`` field: a dict view over the table's columns.
-
-    ``__init__`` sets it either to dicts, which are kept and are the table's
-    counts from then on, or to ``_Columns`` or ``_Overlay``, from which the
-    first read builds the dicts and caches them. Read on the class it raises
-    AttributeError, so the dataclass field has no default and stays required.
-    """
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError("counts")
-        state = obj.__dict__
-        if state["_counts"] is None:
-            state["_counts"] = _view(obj.classes, state["_source"])
-        return state["_counts"]
-
-    def __set__(self, obj, value) -> None:
-        if isinstance(value, (_Columns, _Overlay)):
-            obj.__dict__.update(_counts=None, _source=value, _scanned=None)
-        else:
-            obj.__dict__.update(_counts=value, _source=None, _scanned=None)
-
-
 def _uneven(counts: array, width: int) -> array:
     """Positions of the rows of ``width`` counts whose counts are not all equal."""
     if width < 2:
@@ -286,7 +269,10 @@ class CliqueFrequencyTable:
     """
 
     classes: tuple[str, ...]
-    counts: dict[int, dict[Clique, dict[str, int]]] = _CountsField()
+    # Given as dicts, they are kept; given as _Columns or _Overlay, the first read builds them.
+    counts: dict[int, dict[Clique, dict[str, int]]] = _LazyField(
+        (_Columns, _Overlay), lambda table, source: _view(table.classes, source), "_source", reset=("_scanned",)
+    )
     provenance: Provenance = field(default=Provenance.ORIGINAL)
 
     def _levels(self) -> _Levels:
@@ -401,6 +387,61 @@ class ImbalanceEntry:
     under_represented: tuple[str, ...]
 
 
+class _Imbalances(NamedTuple):
+    """A table's uneven cliques: its columns and, per level, the positions its
+    one scan found uneven. Read worst first, they are ``imbalanced_cliques``."""
+
+    classes: tuple[str, ...]
+    levels: _Levels
+    uneven: dict[int, array]
+
+    def worst_first(self) -> Iterator[tuple[int, int]]:
+        """The uneven cliques as (level, position) pairs, worst first.
+
+        A row's largest deficit is its max minus its min, so the key
+        (min - max, size, clique) orders them by descending largest deficit,
+        then ascending size, then clique. The sort holds one int per clique,
+        its position times the number of levels plus its level's index.
+        """
+        c, levels = len(self.classes), self.levels
+        keys = list(levels)
+        n = len(keys)
+
+        def worst(flat: int) -> tuple[int, int, Clique]:
+            cliques, counts = levels[keys[flat % n]]
+            row = _row(counts, flat // n, c)
+            q = cliques[flat // n]
+            return min(row) - max(row), len(q), q
+
+        order = sorted((i * n + at for at, k in enumerate(keys) for i in self.uneven[k]), key=worst)
+        return ((keys[flat % n], flat // n) for flat in order)
+
+    def rows(self) -> Iterator[tuple[Clique, dict[str, int], int, dict[str, int]]]:
+        """Each uneven clique, worst first, with its per-class counts, their
+        maximum and the per-class deficits; fresh dicts, one clique at a time."""
+        classes, c = self.classes, len(self.classes)
+        for k, i in self.worst_first():
+            cliques, counts = self.levels[k]
+            row = _row(counts, i, c)
+            m = max(row)
+            per = dict(zip(classes, row))
+            yield cliques[i], per, m, {y: m - n for y, n in per.items() if n < m}
+
+    def entries(self) -> tuple[ImbalanceEntry, ...]:
+        entries = []
+        for q, per, m, deficits in self.rows():
+            lo = min(per.values())
+            entries.append(ImbalanceEntry(q, per, m, deficits, tuple(sorted(y for y, n in per.items() if n == lo))))
+        return tuple(entries)
+
+
+def _imbalances(table: CliqueFrequencyTable) -> _Imbalances:
+    """The uneven cliques of an ORIGINAL table, from its one scan; no entry is built."""
+    if table.provenance is not Provenance.ORIGINAL:
+        raise ValueError("imbalance extraction needs a table with original provenance")
+    return _Imbalances(table.classes, *table._scan())
+
+
 def imbalanced_cliques(table: CliqueFrequencyTable) -> tuple[ImbalanceEntry, ...]:
     """Extract the cliques whose per-class counts differ, worst first.
 
@@ -409,26 +450,4 @@ def imbalanced_cliques(table: CliqueFrequencyTable) -> tuple[ImbalanceEntry, ...
     zero) are omitted. The table must hold raw dataset counts; an adjusted
     table mixes in planned records and would report phantom balance.
     """
-    if table.provenance is not Provenance.ORIGINAL:
-        raise ValueError("imbalance extraction needs a table with original provenance")
-    levels, uneven = table._scan()
-    classes = table.classes
-    c = len(classes)
-    entries: list[ImbalanceEntry] = []
-    for k, (cliques, counts) in levels.items():
-        for i in uneven[k]:
-            row = _row(counts, i, c)
-            m = max(row)
-            lo = min(row)
-            per = dict(zip(classes, row))
-            entries.append(
-                ImbalanceEntry(
-                    concepts=cliques[i],
-                    per_class=per,
-                    max_count=m,
-                    deficits={y: m - n for y, n in per.items() if n < m},
-                    under_represented=tuple(sorted(y for y, n in per.items() if n == lo)),
-                )
-            )
-    entries.sort(key=lambda e: (-max(e.deficits.values()), len(e.concepts), e.concepts))
-    return tuple(entries)
+    return _imbalances(table).entries()

@@ -107,29 +107,53 @@ def _split(records: Iterable[AnnotationRecord]) -> _Columns:
     return rows
 
 
-class _RecordsField:
-    """The ``Dataset.records`` field: a tuple of records over the dataset's columns.
+class _LazyField:
+    """A dataclass field given either as its value or as a source to build it from.
 
-    ``__init__`` sets it either to a tuple of records, which is kept and split
-    into columns when they are first needed, or to ``_Columns``, from which
-    the first read builds the records and caches them. Read on the class it
+    ``__init__`` sets it either to its value, which is kept, or to an instance
+    of ``kind``, which is kept in the attribute named ``source`` and from which
+    the first read builds the value with ``build(obj, source)`` and caches it
+    in ``_<field name>`` (None until then). The value then replaces the
+    source, which is dropped unless ``keep`` is set. Every assignment also
+    sets the attributes named in ``reset`` to None. Read on the class it
     raises AttributeError, so the dataclass field has no default and stays
     required.
     """
 
+    def __init__(
+        self,
+        kind: type | tuple[type, ...],
+        build: Callable,
+        source: str,
+        reset: tuple[str, ...] = (),
+        keep: bool = False,
+    ) -> None:
+        self.kind, self.build, self.source, self.reset, self.keep = kind, build, source, reset, keep
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name, self.cache = name, "_" + name
+
     def __get__(self, obj, owner=None):
         if obj is None:
-            raise AttributeError("records")
+            raise AttributeError(self.name)
         state = obj.__dict__
-        if state["_records"] is None:
-            state["_records"] = tuple(map(AnnotationRecord, *state["_columns"]))
-        return state["_records"]
+        # The source is read first: a racing first read drops it only after caching the value.
+        source = state[self.source]
+        value = state[self.cache]
+        if value is None:
+            value = state[self.cache] = self.build(obj, source)
+            if not self.keep:
+                state[self.source] = None
+        return value
 
     def __set__(self, obj, value) -> None:
-        if isinstance(value, _Columns):
-            obj.__dict__.update(_columns=value, _records=None)
+        state = obj.__dict__
+        if isinstance(value, self.kind):
+            state[self.cache], state[self.source] = None, value
         else:
-            obj.__dict__.update(_columns=None, _records=value)
+            state[self.cache], state[self.source] = value, None
+        for name in self.reset:
+            state[name] = None
 
 
 @dataclass(frozen=True)
@@ -148,7 +172,11 @@ class Dataset:
     ``hash``, ``repr`` and ``dataclasses.replace`` read it.
     """
 
-    records: tuple[AnnotationRecord, ...] = _RecordsField()
+    # Given as records, they are kept and split into columns when first needed;
+    # built, they leave the columns, which ``n``, ``masks`` and the stages read.
+    records: tuple[AnnotationRecord, ...] = _LazyField(
+        _Columns, lambda _, columns: tuple(map(AnnotationRecord, *columns)), "_columns", keep=True
+    )
     classes: tuple[str, ...]
     concepts: tuple[str, ...]
 

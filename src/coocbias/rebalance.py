@@ -17,11 +17,16 @@ is each input level with the changed cliques' dicts laid over it; every other
 clique's dict is the input table's own, so callers who mutate the adjusted
 counts work on ``.copy()``.
 
-Each query carries a ready-to-use text prompt naming the class and the
-clique's concepts, plus a similarity threshold for filtering generated images
-downstream. ``apply_virtual`` appends the planned records to a dataset so
-the closed loop (diagnose, plan, apply, re-diagnose) can be checked without
-any image model in sight.
+The plan records each query as its clique, class index, count and capped
+flag, in columns (``_Queries``), and builds its ``GenerationQuery`` tuple on
+the first read of ``queries``, rendering one prompt per clique; the report's
+query count, ``total_count`` and ``truncated`` are read from the columns.
+
+Each query carries a ready-to-use text prompt naming the clique's concepts,
+plus a similarity threshold for filtering generated images downstream.
+``apply_virtual`` appends the planned records to a dataset so the closed
+loop (diagnose, plan, apply, re-diagnose) can be checked without any image
+model in sight.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .cliques import Clique, CliqueFrequencyTable, Provenance, _not_str, _Overlay, _row
-from .dataset import Dataset, _Columns
+from .dataset import Dataset, _Columns, _LazyField
 
 __all__ = [
     "PromptTemplate",
@@ -55,6 +61,9 @@ class PromptTemplate(enum.Enum):
     IMAGE = "image"
 
 
+_NO_CONCEPTS = "cannot render a prompt for an empty concept set"
+
+
 def render_prompt(template: PromptTemplate, label: str, concepts: Clique) -> str:
     """Phrase one generation request in plain English.
 
@@ -72,7 +81,7 @@ def render_prompt(template: PromptTemplate, label: str, concepts: Clique) -> str
     _not_str(concepts)
     names = tuple(sorted(concepts))
     if not names:
-        raise ValueError("cannot render a prompt for an empty concept set")
+        raise ValueError(_NO_CONCEPTS)
     if template is PromptTemplate.PHOTO:
         if len(names) == 1:
             body = names[0]
@@ -102,9 +111,35 @@ class GenerationQuery:
     capped: bool = False
 
 
+class _Queries(NamedTuple):
+    """A plan's queries as columns, in plan order: per query its clique, the
+    index of its class, its count and whether the cap clamped it; and what
+    every query shares. No one mutates them once the plan is built."""
+
+    classes: tuple[str, ...]
+    template: PromptTemplate
+    clip_threshold: float
+    cliques: list[Clique]
+    labels: array
+    counts: array
+    capped: bytearray
+
+    def build(self) -> tuple[GenerationQuery, ...]:
+        """The queries, with one prompt per clique."""
+        classes, template, clip = self.classes, self.template, self.clip_threshold
+        queries = []
+        last = None
+        for q, j, count, capped in zip(self.cliques, self.labels, self.counts, self.capped):
+            if q is not last:
+                # The prompt names only the concepts, so one serves every class.
+                last, prompt = q, render_prompt(template, classes[j], q)
+            queries.append(GenerationQuery(classes[j], q, count, prompt, clip, capped == 1))
+        return tuple(queries)
+
+
 @dataclass(frozen=True)
 class GenerationPlan:
-    """Ordered query list; every total is read from the queries.
+    """Ordered query list and its totals.
 
     Queries are sorted by descending clique size, then clique, then class,
     which coincides with the order the planner emits them in. A plan compares
@@ -112,17 +147,35 @@ class GenerationPlan:
     per-query cap; the per-class and per-level totals (level = clique size)
     summarize the plan for reporting, keyed in order of first appearance.
     Each total is computed on first read.
+
+    A plan from ``rebalance_plan`` holds its queries as columns (``_Queries``)
+    and builds the ``GenerationQuery`` tuple on the first read of ``queries``,
+    rendering one prompt per clique, and then drops the columns; until then
+    ``total_count``, ``truncated`` and the query count of the report read the
+    columns and build no query. A plan built with a ``queries=`` tuple keeps
+    it and reads every total from it.
     """
 
-    queries: tuple[GenerationQuery, ...]
+    queries: tuple[GenerationQuery, ...] = _LazyField(_Queries, lambda _, columns: columns.build(), "_source")
+
+    def _columns(self) -> _Queries | None:
+        """The columns the queries are built from; None once they are built or given."""
+        return self.__dict__["_source"]
+
+    def _size(self) -> int:
+        """The number of queries."""
+        columns = self._columns()
+        return len(self.queries) if columns is None else len(columns.counts)
 
     @cached_property
     def total_count(self) -> int:
-        return sum(q.count for q in self.queries)
+        columns = self._columns()
+        return sum(q.count for q in self.queries) if columns is None else sum(columns.counts)
 
     @cached_property
     def truncated(self) -> bool:
-        return any(q.capped for q in self.queries)
+        columns = self._columns()
+        return any(q.capped for q in self.queries) if columns is None else any(columns.capped)
 
     @cached_property
     def per_class(self) -> dict[str, int]:
@@ -208,7 +261,9 @@ def rebalance_plan(
         return row
 
     cap = config.per_query_cap
-    queries: list[GenerationQuery] = []
+    # The queries as columns: clique, class index, count and capped flag.
+    query_cliques: list[Clique] = []
+    query_labels, query_counts, query_capped = array("q"), array("q"), bytearray()
     for k in sorted(levels, reverse=True):
         cliques = levels[k][0]
         # Only a clique whose original counts differ, or one a planned
@@ -220,8 +275,8 @@ def rebalance_plan(
             if not short:
                 continue
             q = cliques[i]
-            # The prompt names only the concepts, so one serves every class.
-            prompt = render_prompt(config.template, classes[short[0][0]], q)
+            if not q:
+                raise ValueError(_NO_CONCEPTS)  # as the query's prompt would
             # A planned record holds every concept of q, so each proper
             # subset present at a lower level gains the same records.
             subsets = [
@@ -234,23 +289,20 @@ def rebalance_plan(
             for j, need in short:
                 capped = cap is not None and need > cap
                 count = cap if capped else need
-                queries.append(
-                    GenerationQuery(
-                        label=classes[j],
-                        concepts=q,
-                        count=count,
-                        prompt=prompt,
-                        clip_threshold=config.clip_threshold,
-                        capped=capped,
-                    )
-                )
+                query_cliques.append(q)
+                query_labels.append(j)
+                query_counts.append(count)
+                query_capped.append(capped)
                 per[j] += count
                 for sub_per in subsets:
                     sub_per[j] += count
 
     changed = {k: (levels[k][0], rows) for k, rows in owned.items() if rows}
     adjusted = CliqueFrequencyTable(classes=classes, counts=_Overlay(table, changed), provenance=Provenance.ADJUSTED)
-    return GenerationPlan(tuple(queries)), adjusted
+    columns = _Queries(
+        classes, config.template, config.clip_threshold, query_cliques, query_labels, query_counts, query_capped
+    )
+    return GenerationPlan(columns), adjusted
 
 
 def apply_virtual(dataset: Dataset, plan: GenerationPlan) -> Dataset:

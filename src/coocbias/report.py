@@ -1,24 +1,30 @@
 """End-to-end diagnosis pipeline and canonical report serialization.
 
-``diagnose`` wires the stages together: graph build, ``common_cliques``
-(one search over all classes; no per-class clique set is built), frequency
-counting, imbalance extraction, and a plan drawn from the resulting table.
+``diagnose`` wires the stages together: graph build, ``common_cliques`` (one
+search over all classes; no per-class clique set is built), frequency
+counting, the uneven-clique scan, and a plan drawn from the resulting table;
+the imbalance entries and the plan's queries are built when first read.
 Reports and plans serialize to byte-stable JSON (sorted keys, two-space
 indent, LF line endings, trailing newline) so that repeated runs over the
 same input are byte-identical and diff cleanly; ``report_dict`` passes the
-pipeline's own tuples and dicts. Writes go through a temp file and a rename;
-the file gets the mode a plain ``open`` would give it. A FIFO or a device is
-written in place, and a symlink's target is replaced, not the link.
+common cliques as the pipeline's own tuples and makes each imbalance entry's
+dicts from the table's count rows. ``report_chunks``, which ``coocbias
+diagnose`` writes, is the same text in pieces, with the entries made one
+batch at a time and dropped once rendered. Writes go through a temp file and
+a rename; the file gets the mode a plain ``open`` would give it. A FIFO or a
+device is written in place, and a symlink's target is replaced, not the
+link.
 
 ``canonical_chunks`` yields the text ``json.dumps`` would write with those
 settings, in pieces, without ``json.dumps``: once an indent is set, CPython
 serves that call only from its pure-Python encoder, which runs a generator
 chain per value and gathers every chunk into one list before joining. Here
 each container joins its children's finished text once, and a list of plain
-strings is one join over json's C string escaper. The pieces walk every
-dict that holds lists or dicts and cut a list longer than ``_BATCH`` items
-into batches, so a writer fed by them holds one batch's text at a time, not
-the report. ``canonical_json`` joins the same pieces into one string.
+strings is one join over json's C string escaper. The pieces walk every dict
+that holds lists or dicts and cut a list longer than ``_BATCH`` items into
+batches (``_list_chunks``, which also cuts the streamed entries), so a
+writer fed by them holds one batch's text at a time, not the report.
+``canonical_json`` joins the same pieces into one string.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import os
 import stat
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -37,11 +44,12 @@ from .cliques import (
     CliqueFrequencyTable,
     ImbalanceEntry,
     _check_search,
+    _imbalances,
+    _Imbalances,
     common_cliques,
     frequency_table,
-    imbalanced_cliques,
 )
-from .dataset import Dataset
+from .dataset import Dataset, _LazyField
 from .graph import CooccurrenceGraph, _check_min_support, build_graph
 from .rebalance import GenerationPlan, RebalanceConfig, rebalance_plan
 
@@ -50,6 +58,7 @@ __all__ = [
     "Diagnosis",
     "diagnose",
     "report_dict",
+    "report_chunks",
     "canonical_chunks",
     "canonical_json",
     "plan_jsonl",
@@ -90,13 +99,23 @@ class Diagnosis:
     changed cliques laid over each level, so it shares the per-class dict of
     every other clique with ``table``; mutate ``adjusted.copy()``, not
     ``adjusted``.
+
+    From ``diagnose``, ``imbalances`` is built on its first read, from the
+    columns and uneven positions that ``table`` held when diagnosed, and
+    cached; ``plan`` builds its queries the same way. ``report_dict`` and
+    ``report_chunks`` read neither: they take each imbalance entry from the
+    table's columns and the plan's three figures from the plan's columns. A
+    ``Diagnosis`` given an ``imbalances`` tuple keeps it, and the report
+    reads that tuple.
     """
 
     config: DiagnosisConfig
     graph: CooccurrenceGraph
     common: dict[int, tuple[tuple[str, ...], ...]]
     table: CliqueFrequencyTable
-    imbalances: tuple[ImbalanceEntry, ...]
+    imbalances: tuple[ImbalanceEntry, ...] = _LazyField(
+        _Imbalances, lambda _, source: source.entries(), "_imbalances_source"
+    )
     plan: GenerationPlan
     adjusted: CliqueFrequencyTable
 
@@ -106,7 +125,7 @@ def diagnose(dataset: Dataset, config: DiagnosisConfig = DiagnosisConfig()) -> D
     graph = build_graph(dataset, min_support=config.min_support)
     common = common_cliques(graph, config.k_max, config.relax_fraction)
     table = frequency_table(dataset, common)
-    imbalances = imbalanced_cliques(table)
+    imbalances = _imbalances(table)  # the entries are built when first read
     plan, adjusted = rebalance_plan(table, config.rebalance)
     return Diagnosis(
         config=config,
@@ -126,7 +145,34 @@ def report_dict(diagnosis: Diagnosis, dataset: Dataset, input_digest: str) -> di
     plan_summary, tool_version, input_digest. Imbalance entries carry exactly
     concepts, per_class, max, deficits.
     """
+    return _report(diagnosis, dataset, input_digest, list(_entry_dicts(diagnosis)))
+
+
+def report_chunks(diagnosis: Diagnosis, dataset: Dataset, input_digest: str) -> Iterator[str]:
+    """The text of ``canonical_json(report_dict(diagnosis, dataset, input_digest))``, in pieces.
+
+    The imbalance entries are made one batch of ``_BATCH`` at a time, written
+    and dropped, so a writer fed by the pieces never holds every entry dict.
+    """
+    return canonical_chunks(_report(diagnosis, dataset, input_digest, _Stream(_entry_dicts(diagnosis))))
+
+
+def _entry_dicts(diagnosis: Diagnosis) -> Iterator[dict]:
+    """The report's imbalance entries in order, one at a time: read from the
+    table's columns while ``diagnosis.imbalances`` is unbuilt, else from it."""
+    state = diagnosis.__dict__
+    if state["_imbalances"] is None:
+        rows = state["_imbalances_source"].rows()
+    else:
+        rows = ((e.concepts, e.per_class, e.max_count, e.deficits) for e in state["_imbalances"])
+    for concepts, per_class, m, deficits in rows:
+        yield {"concepts": concepts, "per_class": per_class, "max": m, "deficits": deficits}
+
+
+def _report(diagnosis: Diagnosis, dataset: Dataset, input_digest: str, imbalances) -> dict:
+    """The report, with ``imbalances`` as its list of entries."""
     cfg = diagnosis.config
+    plan = diagnosis.plan
     return {
         "config": {
             "min_support": cfg.min_support,
@@ -143,14 +189,11 @@ def report_dict(diagnosis: Diagnosis, dataset: Dataset, input_digest: str) -> di
         },
         # String level keys: canonical_json would sort int keys numerically.
         "common_cliques": {str(k): cliques for k, cliques in diagnosis.common.items()},
-        "imbalances": [
-            {"concepts": e.concepts, "per_class": e.per_class, "max": e.max_count, "deficits": e.deficits}
-            for e in diagnosis.imbalances
-        ],
+        "imbalances": imbalances,
         "plan_summary": {
-            "queries": len(diagnosis.plan.queries),
-            "total_count": diagnosis.plan.total_count,
-            "truncated": diagnosis.plan.truncated,
+            "queries": plan._size(),
+            "total_count": plan.total_count,
+            "truncated": plan.truncated,
         },
         "tool_version": __version__,
         "input_digest": input_digest,
@@ -185,9 +228,19 @@ def canonical_json(payload: dict) -> str:
 _BATCH = 256
 
 
+class _Stream:
+    """A list given as an iterator of its items, which ``_chunks`` renders one
+    batch at a time; only the package's own writers build one."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items: Iterable) -> None:
+        self.items = items
+
+
 def _chunks(value, newline: str) -> Iterator[str]:
     """The text of ``_text(value, newline)``, in pieces."""
-    if isinstance(value, dict) and any(isinstance(v, (dict, list, tuple)) for v in value.values()):
+    if isinstance(value, dict) and any(isinstance(v, (dict, list, tuple, _Stream)) for v in value.values()):
         inner = newline + "  "
         sep = "{" + inner
         for k, v in sorted(value.items()):
@@ -195,16 +248,24 @@ def _chunks(value, newline: str) -> Iterator[str]:
             yield from _chunks(v, inner)
             sep = "," + inner
         yield newline + "}"
+    elif isinstance(value, _Stream):
+        yield from _list_chunks(value.items, newline)
     elif isinstance(value, (list, tuple)) and len(value) > _BATCH:
-        inner = newline + "  "
-        sep = "[" + inner
-        join = ("," + inner).join
-        for start in range(0, len(value), _BATCH):
-            yield sep + join([_text(v, inner) for v in value[start : start + _BATCH]])
-            sep = "," + inner
-        yield newline + "]"
+        yield from _list_chunks(value, newline)
     else:
         yield _text(value, newline)
+
+
+def _list_chunks(items: Iterable, newline: str) -> Iterator[str]:
+    """A list's text: one piece per ``_BATCH`` of its items, then one to close it."""
+    inner = newline + "  "
+    sep = "[" + inner
+    join = ("," + inner).join
+    items = iter(items)
+    while batch := list(islice(items, _BATCH)):
+        yield sep + join([_text(v, inner) for v in batch])
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else newline + "]"
 
 
 def _float_text(x: float) -> str:
