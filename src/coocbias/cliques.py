@@ -17,12 +17,14 @@ hashing, and report ordering are canonical without extra bookkeeping.
 
 Cost model: ``frequency_table`` writes its counts into columns, per level the
 clique tuple of ``common`` and one ``array`` of ``len(classes)`` counts per
-clique (8 bytes a count), and builds no per-clique dict. The cliques whose
-counts differ are found in one pass over those arrays, which the table keeps
-for ``imbalanced_cliques`` and ``rebalance_plan`` to share. The table's
-``counts`` dicts are built only when read. Once read, or when a table is
-built from dicts, the dicts are the counts: each consumer derives its columns
-from them on every call, so a change made to them shows in the next result.
+clique (8 bytes a count), and builds no per-clique dict; the adjusted table
+of ``rebalance_plan`` is held the same way. The cliques whose counts differ
+are found in one pass over those arrays, made on each call of
+``imbalanced_cliques`` or ``rebalance_plan``; ``diagnose`` makes it once and
+hands it to both. The table's ``counts`` dicts are built only when read.
+Once read, or when a table is built from dicts, the dicts are the counts:
+each consumer derives its columns from them on every call, so a change made
+to them shows in the next result.
 
 The imbalance list is ordered by one sort of the uneven (level, position)
 pairs, keyed on each count row, and ``ImbalanceEntry`` objects are built from
@@ -203,18 +205,10 @@ class Provenance(enum.Enum):
 _Levels = dict[int, tuple[tuple[Clique, ...], array]]
 
 
-class _Columns(NamedTuple):
+class _Counts(NamedTuple):
     """A table's counts as columns; no one mutates them once built."""
 
     levels: _Levels
-
-
-class _Overlay(NamedTuple):
-    """An adjusted table's counts: its base table and, per level, the base's
-    cliques and the rows the plan changed, by position."""
-
-    base: "CliqueFrequencyTable"
-    changed: dict[int, tuple[tuple[Clique, ...], dict[int, array]]]
 
 
 def _row(counts: array, i: int, width: int) -> array:
@@ -222,20 +216,13 @@ def _row(counts: array, i: int, width: int) -> array:
     return counts[i * width : i * width + width]
 
 
-def _view(classes: tuple[str, ...], source: _Columns | _Overlay) -> dict[int, dict[Clique, dict[str, int]]]:
+def _view(classes: tuple[str, ...], source: _Counts) -> dict[int, dict[Clique, dict[str, int]]]:
     """The dict-of-dicts ``counts`` of a table held as ``source``."""
-    if isinstance(source, _Columns):
-        c = len(classes)
-        return {
-            k: {q: dict(zip(classes, _row(counts, i, c))) for i, q in enumerate(cliques)}
-            for k, (cliques, counts) in source.levels.items()
-        }
-    changed = {
-        k: {cliques[i]: dict(zip(classes, row)) for i, row in rows.items()}
-        for k, (cliques, rows) in source.changed.items()
+    c = len(classes)
+    return {
+        k: {q: dict(zip(classes, _row(counts, i, c))) for i, q in enumerate(cliques)}
+        for k, (cliques, counts) in source.levels.items()
     }
-    # Each level's changed cliques are keys of the base level, so its key order stays.
-    return {k: level | changed.get(k, {}) for k, level in source.base.counts.items()}
 
 
 def _uneven(counts: array, width: int) -> array:
@@ -258,55 +245,35 @@ class CliqueFrequencyTable:
     every clique (zero when no record matches). ``provenance`` starts as
     ORIGINAL; planned synthetic counts flip it to ADJUSTED.
 
-    A table from ``frequency_table`` holds, per level, the clique tuple of
-    ``common`` and one ``array`` of ``len(classes)`` counts per clique;
-    ``imbalanced_cliques`` and ``rebalance_plan`` read those columns and share
-    one scan for the cliques whose counts differ. ``counts`` builds one dict
-    per clique on its first read and caches them. From then on, as for a
-    table built with ``counts=`` dicts, the dicts are the table's counts:
-    every consumer, ``copy()`` included, reads them again on each call, so a
-    change made to them shows. ``==`` and ``repr`` read ``counts``.
+    A table from ``frequency_table`` or ``rebalance_plan`` holds, per level,
+    its cliques and one ``array`` of ``len(classes)`` counts per clique;
+    ``imbalanced_cliques`` and ``rebalance_plan`` read those columns.
+    ``counts`` builds one dict per clique on its first read and caches them.
+    From then on, as for a table built with ``counts=`` dicts, the dicts are
+    the table's counts: every consumer, ``copy()`` included, reads them again
+    on each call, so a change made to them shows. ``==`` and ``repr`` read
+    ``counts``.
     """
 
     classes: tuple[str, ...]
-    # Given as dicts, they are kept; given as _Columns or _Overlay, the first read builds them.
+    # Given as dicts, they are kept; given as _Counts, the first read builds them.
     counts: dict[int, dict[Clique, dict[str, int]]] = _LazyField(
-        (_Columns, _Overlay), lambda table, source: _view(table.classes, source), "_source", reset=("_scanned",)
+        _Counts, lambda table, source: _view(table.classes, source), "_source"
     )
     provenance: Provenance = field(default=Provenance.ORIGINAL)
 
     def _levels(self) -> _Levels:
         """The columns; derived from ``counts`` on each call once the table holds dicts."""
         state = self.__dict__
-        counts, source = state["_counts"], state["_source"]
-        if counts is not None:
-            return {
-                k: (tuple(level), array("q", [per[y] for per in level.values() for y in self.classes]))
-                for k, level in counts.items()
-            }
-        if isinstance(source, _Columns):
+        # The source is read first: a racing first read of counts drops it only after caching them.
+        source = state["_source"]
+        counts = state["_counts"]
+        if counts is None:
             return source.levels
-        c = len(self.classes)
-        levels = dict(source.base._levels())
-        for k, (cliques, rows) in source.changed.items():
-            counts = array("q", levels[k][1])
-            for i, row in rows.items():
-                counts[i * c : i * c + c] = row
-            levels[k] = (cliques, counts)
-        return levels
-
-    def _scan(self) -> tuple[_Levels, dict[int, array]]:
-        """The columns and, per level, the positions of the cliques whose counts
-        differ; kept for later calls while the table holds only its own columns."""
-        state = self.__dict__
-        cacheable = state["_counts"] is None and isinstance(state["_source"], _Columns)
-        if cacheable and state["_scanned"] is not None:
-            return state["_scanned"]
-        levels = self._levels()
-        scan = levels, {k: _uneven(counts, len(self.classes)) for k, (_, counts) in levels.items()}
-        if cacheable:
-            state["_scanned"] = scan
-        return scan
+        return {
+            k: (tuple(level), array("q", [per[y] for per in level.values() for y in self.classes]))
+            for k, level in counts.items()
+        }
 
     def levels(self) -> tuple[int, ...]:
         counts = self.__dict__["_counts"]
@@ -315,7 +282,7 @@ class CliqueFrequencyTable:
     def copy(self) -> "CliqueFrequencyTable":
         if self.__dict__["_counts"] is None:
             # Columns are never mutated, so the copy may share them.
-            counts = _Columns(self._levels())
+            counts = _Counts(self._levels())
         else:
             counts = {k: {q: dict(per) for q, per in table.items()} for k, table in self.counts.items()}
         return CliqueFrequencyTable(classes=self.classes, counts=counts, provenance=self.provenance)
@@ -369,7 +336,7 @@ def frequency_table(
             mask = shared & masks[q[-1]] if q else shared
             counts.extend([(mask & m).bit_count() for m in class_masks])
         levels[k] = (tuple(cliques), counts)
-    return CliqueFrequencyTable(classes=dataset.classes, counts=_Columns(levels))
+    return CliqueFrequencyTable(classes=dataset.classes, counts=_Counts(levels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -436,10 +403,13 @@ class _Imbalances(NamedTuple):
 
 
 def _imbalances(table: CliqueFrequencyTable) -> _Imbalances:
-    """The uneven cliques of an ORIGINAL table, from its one scan; no entry is built."""
+    """The uneven cliques of an ORIGINAL table, from one scan of its columns
+    per level; no entry is built."""
     if table.provenance is not Provenance.ORIGINAL:
         raise ValueError("imbalance extraction needs a table with original provenance")
-    return _Imbalances(table.classes, *table._scan())
+    levels = table._levels()
+    c = len(table.classes)
+    return _Imbalances(table.classes, levels, {k: _uneven(counts, c) for k, (_, counts) in levels.items()})
 
 
 def imbalanced_cliques(table: CliqueFrequencyTable) -> tuple[ImbalanceEntry, ...]:

@@ -114,21 +114,13 @@ class _LazyField:
     of ``kind``, which is kept in the attribute named ``source`` and from which
     the first read builds the value with ``build(obj, source)`` and caches it
     in ``_<field name>`` (None until then). The value then replaces the
-    source, which is dropped unless ``keep`` is set. Every assignment also
-    sets the attributes named in ``reset`` to None. Read on the class it
+    source, which is dropped unless ``keep`` is set. Read on the class it
     raises AttributeError, so the dataclass field has no default and stays
     required.
     """
 
-    def __init__(
-        self,
-        kind: type | tuple[type, ...],
-        build: Callable,
-        source: str,
-        reset: tuple[str, ...] = (),
-        keep: bool = False,
-    ) -> None:
-        self.kind, self.build, self.source, self.reset, self.keep = kind, build, source, reset, keep
+    def __init__(self, kind: type, build: Callable, source: str, keep: bool = False) -> None:
+        self.kind, self.build, self.source, self.keep = kind, build, source, keep
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name, self.cache = name, "_" + name
@@ -152,8 +144,6 @@ class _LazyField:
             state[self.cache], state[self.source] = None, value
         else:
             state[self.cache], state[self.source] = value, None
-        for name in self.reset:
-            state[name] = None
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,10 @@ never over-produces: singleton gaps still open after the larger cliques are
 settled are exactly the remainder.
 
 The walk visits only the cliques that can need records: those whose original
-counts differ, which the table's one scan found, and those a planned superset
-credited, in the same order. It reads the table's count columns and owns a
-copy of the row of each clique it changes, made on first use. The adjusted
-table holds only the input table and those rows. Its ``counts``, when read,
-is each input level with the changed cliques' dicts laid over it; every other
-clique's dict is the input table's own, so callers who mutate the adjusted
-counts work on ``.copy()``.
+counts differ, which one scan of the table found, and those a planned
+superset credited, in the same order. It copies each level's count column
+once and writes the top-ups and credits into the copies, which become the
+adjusted table's columns.
 
 The plan records each query as its clique, class index, count and capped
 flag, in columns (``_Queries``), and builds its ``GenerationQuery`` tuple on
@@ -38,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .cliques import Clique, CliqueFrequencyTable, Provenance, _not_str, _Overlay, _row
+from .cliques import Clique, CliqueFrequencyTable, Provenance, _Counts, _Imbalances, _imbalances, _not_str
 from .dataset import Dataset, _Columns, _LazyField
 
 __all__ = [
@@ -233,43 +230,38 @@ def rebalance_plan(
     balanced, so re-planning yields nothing; the cap, when hit, breaks that
     guarantee and is flagged on the query and the plan.
 
-    The adjusted table holds the input table and the rows the plan changed.
-    Each level of its ``counts``, built when first read, is the input level,
-    in the same order, with dicts of the changed cliques laid over it; a
-    clique the plan leaves unchanged keeps the input table's per-class dict:
-    ``adjusted.counts[k][q] is table.counts[k][q]``. A caller that mutates the
-    adjusted counts should work on ``adjusted.copy()``.
+    The adjusted table holds its own count columns, one per level, with the
+    input's cliques in the same order; its ``counts`` dicts are built when
+    first read and share nothing with the input table.
     """
     if table.provenance is Provenance.ADJUSTED:
         raise ValueError("already balanced: the table's counts include planned records")
+    return _plan(_imbalances(table), config)
 
-    levels, uneven = table._scan()
-    classes = table.classes
+
+def _plan(imbalances: _Imbalances, config: RebalanceConfig) -> tuple[GenerationPlan, CliqueFrequencyTable]:
+    """``rebalance_plan`` on a table's columns and their uneven positions."""
+    classes, levels, uneven = imbalances
     c = len(classes)
     by_label = sorted(range(c), key=classes.__getitem__)
     # Each lower level's cliques by position, to find the subsets a plan credits.
     top = max(levels, default=0)
     where = {k: {q: i for i, q in enumerate(cliques)} for k, (cliques, _) in levels.items() if k < top}
-    # Per level, the plan's own copies of the rows it changes, by position.
-    owned: dict[int, dict[int, array]] = {k: {} for k in levels}
-
-    def own(k: int, i: int) -> array:
-        """The plan's copy of the row of clique i at level k, made on first use."""
-        row = owned[k].get(i)
-        if row is None:
-            row = owned[k][i] = _row(levels[k][1], i, c)
-        return row
+    # Per level, the plan's copy of the counts, and the positions a planned superset credited.
+    counts_of = {k: array("q", counts) for k, (_, counts) in levels.items()}
+    credited: dict[int, set[int]] = {k: set() for k in levels}
 
     cap = config.per_query_cap
     # The queries as columns: clique, class index, count and capped flag.
     query_cliques: list[Clique] = []
     query_labels, query_counts, query_capped = array("q"), array("q"), bytearray()
     for k in sorted(levels, reverse=True):
-        cliques = levels[k][0]
+        cliques, counts = levels[k][0], counts_of[k]
         # Only a clique whose original counts differ, or one a planned
-        # superset credited, can need records; the plan owns both kinds.
-        for i in sorted(owned[k].keys() | set(uneven[k]), key=cliques.__getitem__):
-            per = own(k, i)
+        # superset credited, can need records.
+        for i in sorted(credited[k] | set(uneven[k]), key=cliques.__getitem__):
+            at = i * c
+            per = counts[at : at + c]
             m = max(per, default=0)
             short = [(j, m - per[j]) for j in by_label if per[j] < m]
             if not short:
@@ -279,13 +271,13 @@ def rebalance_plan(
                 raise ValueError(_NO_CONCEPTS)  # as the query's prompt would
             # A planned record holds every concept of q, so each proper
             # subset present at a lower level gains the same records.
-            subsets = [
-                own(size, index[sub])
-                for size in range(1, k)
-                if (index := where.get(size))
-                for sub in itertools.combinations(q, size)
-                if sub in index
-            ]
+            subsets = []
+            for size in range(1, k):
+                index = where.get(size, {})
+                for sub in itertools.combinations(q, size):
+                    if (sub_i := index.get(sub)) is not None:
+                        credited[size].add(sub_i)
+                        subsets.append((counts_of[size], sub_i * c))
             for j, need in short:
                 capped = cap is not None and need > cap
                 count = cap if capped else need
@@ -293,12 +285,15 @@ def rebalance_plan(
                 query_labels.append(j)
                 query_counts.append(count)
                 query_capped.append(capped)
-                per[j] += count
-                for sub_per in subsets:
-                    sub_per[j] += count
+                counts[at + j] += count
+                for sub_counts, sub_at in subsets:
+                    sub_counts[sub_at + j] += count
 
-    changed = {k: (levels[k][0], rows) for k, rows in owned.items() if rows}
-    adjusted = CliqueFrequencyTable(classes=classes, counts=_Overlay(table, changed), provenance=Provenance.ADJUSTED)
+    adjusted = CliqueFrequencyTable(
+        classes=classes,
+        counts=_Counts({k: (cliques, counts_of[k]) for k, (cliques, _) in levels.items()}),
+        provenance=Provenance.ADJUSTED,
+    )
     columns = _Queries(
         classes, config.template, config.clip_threshold, query_cliques, query_labels, query_counts, query_capped
     )

@@ -2,7 +2,7 @@
 
 ``diagnose`` wires the stages together: graph build, ``common_cliques`` (one
 search over all classes; no per-class clique set is built), frequency
-counting, the uneven-clique scan, and a plan drawn from the resulting table;
+counting, the uneven-clique scan, and a plan drawn from that scan;
 the imbalance entries and the plan's queries are built when first read.
 Reports and plans serialize to byte-stable JSON (sorted keys, two-space
 indent, LF line endings, trailing newline) so that repeated runs over the
@@ -51,7 +51,7 @@ from .cliques import (
 )
 from .dataset import Dataset, _LazyField
 from .graph import CooccurrenceGraph, _check_min_support, build_graph
-from .rebalance import GenerationPlan, RebalanceConfig, rebalance_plan
+from .rebalance import GenerationPlan, RebalanceConfig, _plan
 
 __all__ = [
     "DiagnosisConfig",
@@ -92,13 +92,9 @@ class DiagnosisConfig:
 class Diagnosis:
     """All intermediate and final artifacts of one diagnosis run.
 
-    ``table`` holds its counts as columns and ``adjusted`` holds ``table``
-    plus the rows the plan changed; neither builds its per-clique ``counts``
-    dicts until they are read, and ``diagnose`` reads neither. Read,
-    ``adjusted.counts`` is ``table.counts`` with the plan's dicts of the
-    changed cliques laid over each level, so it shares the per-class dict of
-    every other clique with ``table``; mutate ``adjusted.copy()``, not
-    ``adjusted``.
+    ``table`` and ``adjusted`` each hold their own count columns; neither
+    builds its per-clique ``counts`` dicts until they are read, and
+    ``diagnose`` reads neither.
 
     From ``diagnose``, ``imbalances`` is built on its first read, from the
     columns and uneven positions that ``table`` held when diagnosed, and
@@ -126,7 +122,7 @@ def diagnose(dataset: Dataset, config: DiagnosisConfig = DiagnosisConfig()) -> D
     common = common_cliques(graph, config.k_max, config.relax_fraction)
     table = frequency_table(dataset, common)
     imbalances = _imbalances(table)  # the entries are built when first read
-    plan, adjusted = rebalance_plan(table, config.rebalance)
+    plan, adjusted = _plan(imbalances, config.rebalance)  # from the same scan
     return Diagnosis(
         config=config,
         graph=graph,

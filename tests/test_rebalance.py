@@ -358,7 +358,7 @@ class TestAgainstReferencePlan:
 
 
 class TestCopyOnWrite:
-    """The adjusted table copies only the per-class dicts the plan changes."""
+    """The planner writes into its own copy of the counts, never the input's."""
 
     def test_credit_can_unbalance_a_balanced_clique(self):
         # {p} starts balanced; the B records planned for {p, q} lift B above A
@@ -395,16 +395,13 @@ class TestCopyOnWrite:
 
     @PROPERTY_SETTINGS
     @given(datasets(max_concepts=5))
-    def test_unchanged_cliques_share_their_dict(self, ds):
+    def test_adjusted_levels_keep_the_input_keys(self, ds):
         table = diagnose_table(ds, k_max=4)
         plan, adjusted = rebalance_plan(table)
         assert adjusted.counts.keys() == table.counts.keys()
         for k, level in table.counts.items():
             assert adjusted.counts[k] is not level
             assert adjusted.counts[k].keys() == level.keys()
-            for q, per in level.items():
-                changed = adjusted.counts[k][q] != per
-                assert (adjusted.counts[k][q] is per) is not changed
         # A copy of the adjusted table can be mutated without touching the input.
         mutable = adjusted.copy()
         for level in mutable.counts.values():
@@ -434,7 +431,7 @@ class TestHandBuiltTables:
 
     @settings(max_examples=300, deadline=None)
     @given(hand_built_tables())
-    def test_matches_reference_and_shares_only_unchanged_dicts(self, table):
+    def test_matches_reference_and_keeps_the_input_keys(self, table):
         before = copy.deepcopy(table.counts)
         levels = {k: (level, list(level.items())) for k, level in table.counts.items()}
         for cap in (None, 2):
@@ -443,12 +440,42 @@ class TestHandBuiltTables:
             assert list(adjusted.counts) == list(table.counts)
             for k, level in table.counts.items():
                 assert list(adjusted.counts[k]) == list(level)
-                for q, per in level.items():
-                    assert (adjusted.counts[k][q] is per) is (adjusted.counts[k][q] == per)
         assert table.counts == before and table.provenance is Provenance.ORIGINAL
         for k, (level, items) in levels.items():
             assert table.counts[k] is level
             assert all(level[q] is per for q, per in items)
+
+
+def assert_adjusted_counts_are_independent(table):
+    """Mutating the adjusted counts in place, with no ``copy()``, leaves the
+    input table's counts and imbalances as they were; the input's counts are
+    read only at the end, so a table from ``frequency_table`` is checked on
+    its columns."""
+    before, entries = copy.deepcopy(table), imbalanced_cliques(table)
+    _, adjusted = rebalance_plan(table)
+    for level in adjusted.counts.values():
+        for q, per in level.items():
+            for label in per:
+                per[label] = -1
+            level[q] = {}
+        level[("new",)] = {}
+    adjusted.counts[99] = {}
+    assert imbalanced_cliques(table) == entries
+    assert table.counts == before.counts
+
+
+class TestIndependentAdjustedTable:
+    """The adjusted table's counts share nothing with the input table's."""
+
+    @PROPERTY_SETTINGS
+    @given(datasets())
+    def test_on_datasets(self, ds):
+        assert_adjusted_counts_are_independent(diagnose_table(ds, k_max=4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_tables())
+    def test_on_hand_built_tables(self, table):
+        assert_adjusted_counts_are_independent(table)
 
 
 class TestSlottedQuery:

@@ -82,7 +82,7 @@ class TestColumnAndDictTablesAgree:
     @PROPERTY_SETTINGS
     @given(datasets(max_concepts=5))
     def test_copy_of_adjusted_replans_to_nothing(self, ds):
-        # The adjusted table's columns are the base's with the plan's rows laid over them.
+        # The adjusted table's columns are the plan's copy of the base's, topped up.
         plan, adjusted = rebalance_plan(frequency_table(ds, common_of(ds)))
         again = adjusted.copy()
         assert again.provenance is Provenance.ADJUSTED
@@ -188,6 +188,36 @@ class TestCountsBuiltOnlyWhenRead:
         again = diagnose(apply_virtual(dataset, diagnosis.plan), config)
         assert again.imbalances == ()
         assert built == [0]
-        # Reading the adjusted counts builds its view and the base table's, once.
+        # The adjusted table and the base table hold their own columns: one view each.
         assert diagnosis.adjusted.counts and diagnosis.table.counts and diagnosis.adjusted.counts
         assert built == [2]
+
+
+class TestOneScanPerDiagnosis:
+    """A diagnosis scans each level's counts for uneven cliques once, and
+    hands that scan to the planner; a lone ``rebalance_plan`` scans once too."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """How many level scans ran since the fixture started."""
+        count = [0]
+        uneven = cliques._uneven
+
+        def counting_uneven(*args):
+            count[0] += 1
+            return uneven(*args)
+
+        monkeypatch.setattr(cliques, "_uneven", counting_uneven)
+        return count
+
+    def test_diagnose_and_a_lone_plan_scan_each_level_once(self, scans):
+        groups = {"cat": ("sofa", "rug", "lamp"), "dog": ("grass", "ball", "tree"), "owl": ("moon", "branch", "barn")}
+        dataset = generate(BiasSpec(groups=groups, rho=0.7, per_class_n=40), 3)
+        diagnosis = diagnose(dataset, DiagnosisConfig(k_max=3, relax_fraction=0.5))
+        assert len(diagnosis.table.levels()) == 3 and scans == [3]
+        assert diagnosis.imbalances and diagnosis.plan.queries
+        assert "".join(canonical_chunks(report_dict(diagnosis, dataset, "0" * 64)))
+        assert scans == [3]
+        plan, adjusted = rebalance_plan(diagnosis.table)
+        assert scans == [6]
+        assert (plan, adjusted) == (diagnosis.plan, diagnosis.adjusted)
