@@ -258,7 +258,7 @@ class CliqueFrequencyTable:
     classes: tuple[str, ...]
     # Given as dicts, they are kept; given as _Counts, the first read builds them.
     counts: dict[int, dict[Clique, dict[str, int]]] = _LazyField(
-        _Counts, lambda table, source: _view(table.classes, source), "_source"
+        _Counts, lambda table, source: _view(table.classes, source)
     )
     provenance: Provenance = field(default=Provenance.ORIGINAL)
 
@@ -266,7 +266,7 @@ class CliqueFrequencyTable:
         """The columns; derived from ``counts`` on each call once the table holds dicts."""
         state = self.__dict__
         # The source is read first: a racing first read of counts drops it only after caching them.
-        source = state["_source"]
+        source = state["_counts_source"]
         counts = state["_counts"]
         if counts is None:
             return source.levels

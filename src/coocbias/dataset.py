@@ -10,14 +10,19 @@ annotated as present in that image. Two carriers are supported:
 
 Both parsers normalize names (Unicode NFC, surrounding whitespace trimmed,
 case preserved), deduplicate concepts per record, and enforce that class and
-concept name spaces never overlap. Parsing is single-threaded per stream; a
-constructed :class:`Dataset` is immutable and safe for concurrent reads. Its
-first read of ``records`` or ``masks`` builds and caches a value; threads that
-race on that first read each build an equal value and one of them is kept.
+concept name spaces never overlap. ``Dataset.from_records`` runs the same
+validation, after a per-row check, on records made outside the package; a
+:class:`Dataset` itself checks nothing, so ``synth.generate`` and
+``rebalance.apply_virtual`` hand over rows they made themselves. Parsing is
+single-threaded per stream; a constructed :class:`Dataset` is immutable and
+safe for concurrent reads. Its first read of ``records`` (when built from
+columns) or ``masks`` builds and caches a value; threads that race on that
+first read each build an equal value and one of them is kept.
 
 Cost model: a :class:`Dataset` holds its rows as three columns, the ids, the
-labels and the concept tuples, and builds :class:`AnnotationRecord` objects
-only when ``records`` is read. Both parsers fill those columns through one
+labels and the concept tuples, from construction, splitting a given records
+tuple once, and otherwise builds :class:`AnnotationRecord` objects only when
+``records`` is read. Both parsers fill those columns through one
 builder that cleans each distinct raw name and each distinct raw concept list
 once per parse, so the per-row work is a few dict lookups, and rows share one
 ``str`` per raw name and one tuple per raw concept list. Both read their
@@ -111,19 +116,18 @@ class _LazyField:
     """A dataclass field given either as its value or as a source to build it from.
 
     ``__init__`` sets it either to its value, which is kept, or to an instance
-    of ``kind``, which is kept in the attribute named ``source`` and from which
-    the first read builds the value with ``build(obj, source)`` and caches it
-    in ``_<field name>`` (None until then). The value then replaces the
-    source, which is dropped unless ``keep`` is set. Read on the class it
-    raises AttributeError, so the dataclass field has no default and stays
-    required.
+    of ``kind``, which is kept in ``_<field name>_source``. The first read
+    builds the value with ``build(obj, source)``, caches it in
+    ``_<field name>`` (None until then) and drops the source: the built value
+    replaces its source, for every field. Read on the class it raises
+    AttributeError, so the dataclass field has no default and stays required.
     """
 
-    def __init__(self, kind: type, build: Callable, source: str, keep: bool = False) -> None:
-        self.kind, self.build, self.source, self.keep = kind, build, source, keep
+    def __init__(self, kind: type, build: Callable) -> None:
+        self.kind, self.build = kind, build
 
     def __set_name__(self, owner: type, name: str) -> None:
-        self.name, self.cache = name, "_" + name
+        self.name, self.cache, self.source = name, "_" + name, f"_{name}_source"
 
     def __get__(self, obj, owner=None):
         if obj is None:
@@ -134,8 +138,7 @@ class _LazyField:
         value = state[self.cache]
         if value is None:
             value = state[self.cache] = self.build(obj, source)
-            if not self.keep:
-                state[self.source] = None
+            state[self.source] = None
         return value
 
     def __set__(self, obj, value) -> None:
@@ -155,31 +158,33 @@ class Dataset:
     (super)set supplied by an explicit vocabulary. The two name spaces are
     disjoint by construction.
 
-    The rows are held as columns (ids, labels, shared concept tuples); ``n``,
-    ``masks`` and the package's own stages read those. ``records`` is built
-    from them on its first read and cached, one slotted record per row, at
-    about 0.16 s and 6 MiB per 100k rows (CPython 3.11, 2-vCPU VM); ``==``,
-    ``hash``, ``repr`` and ``dataclasses.replace`` read it.
+    The rows are held as columns (ids, labels, shared concept tuples) from
+    construction: given columns, the dataset keeps them; given records, it
+    splits them once as it is built and keeps the tuple as ``records``.
+    ``n``, ``masks`` and the package's own stages read the columns. Given
+    columns, ``records`` is built from them on its first read and cached, one
+    slotted record per row, at about 0.16 s and 6 MiB per 100k rows (CPython
+    3.11, 2-vCPU VM); ``==``, ``hash``, ``repr`` and ``dataclasses.replace``
+    read it.
+
+    Construction checks nothing. The parsers and ``from_records``, the check
+    for records made elsewhere, validate rows before they build a dataset;
+    ``generate`` and ``apply_virtual`` hand over rows they made themselves.
     """
 
-    # Given as records, they are kept and split into columns when first needed;
-    # built, they leave the columns, which ``n``, ``masks`` and the stages read.
     records: tuple[AnnotationRecord, ...] = _LazyField(
-        _Columns, lambda _, columns: tuple(map(AnnotationRecord, *columns)), "_columns", keep=True
+        _Columns, lambda _, columns: tuple(map(AnnotationRecord, *columns))
     )
     classes: tuple[str, ...]
     concepts: tuple[str, ...]
 
-    def _rows(self) -> _Columns:
-        """The columns; split from ``records`` in one pass when that is what was given."""
-        state = self.__dict__
-        if state["_columns"] is None:
-            state["_columns"] = _split(state["_records"])
-        return state["_columns"]
+    def __post_init__(self) -> None:
+        columns = self._records_source
+        self.__dict__["_columns"] = _split(self._records) if columns is None else columns
 
     @property
     def n(self) -> int:
-        return len(self._rows().ids)
+        return len(self._columns.ids)
 
     @cached_property
     def masks(self) -> dict[str, int]:
@@ -189,7 +194,7 @@ class Dataset:
         of ANDed masks counts records; an unused name maps to 0. A copy made
         with ``dataclasses.replace`` builds its own.
         """
-        _, labels, concepts = self._rows()
+        _, labels, concepts = self._columns
         size = (len(labels) + 7) // 8
         bits = {name: bytearray(size) for name in self.classes + self.concepts}
         for pos, (label, names) in enumerate(zip(labels, concepts)):
@@ -213,31 +218,27 @@ class Dataset:
         strict mode and raises ValueError with the first error, citing 1-based
         record positions.
         """
-        return _from_columns(_split(records), vocabulary)
-
-
-def _from_columns(rows: _Columns, vocabulary: Vocabulary | None = None) -> Dataset:
-    """``Dataset.from_records`` on rows already split into columns."""
-    checked: set[tuple[str, ...]] = set()
-    for rid, label, concepts in zip(*rows):
-        if not isinstance(rid, str) or not isinstance(label, str):
-            raise ValueError(f"record id and label must be strings: {AnnotationRecord(rid, label, concepts)!r}")
-        if not rid or not label:
-            raise ValueError(f"record with empty id or label: {AnnotationRecord(rid, label, concepts)!r}")
-        try:
-            if concepts in checked:
-                continue
-        except TypeError:  # a list, or a tuple holding an unhashable concept
-            pass
-        if not isinstance(concepts, tuple) or not all(isinstance(c, str) for c in concepts):
-            raise ValueError(f"record {rid!r}: concepts must be a tuple of strings")
-        if tuple(sorted(set(concepts))) != concepts:
-            raise ValueError(f"record {rid!r}: concepts must be sorted and duplicate-free")
-        checked.add(concepts)
-    dataset, report = _finalize(rows, range(1, len(rows.ids) + 1), ValidationReport(), True, vocabulary, "record")
-    if dataset is None:
-        raise ValueError(report.errors[0].message)
-    return dataset
+        rows = _split(records)
+        checked: set[tuple[str, ...]] = set()
+        for rid, label, concepts in zip(*rows):
+            if not isinstance(rid, str) or not isinstance(label, str):
+                raise ValueError(f"record id and label must be strings: {AnnotationRecord(rid, label, concepts)!r}")
+            if not rid or not label:
+                raise ValueError(f"record with empty id or label: {AnnotationRecord(rid, label, concepts)!r}")
+            try:
+                if concepts in checked:
+                    continue
+            except TypeError:  # a list, or a tuple holding an unhashable concept
+                pass
+            if not isinstance(concepts, tuple) or not all(isinstance(c, str) for c in concepts):
+                raise ValueError(f"record {rid!r}: concepts must be a tuple of strings")
+            if tuple(sorted(set(concepts))) != concepts:
+                raise ValueError(f"record {rid!r}: concepts must be sorted and duplicate-free")
+            checked.add(concepts)
+        dataset, report = _finalize(rows, range(1, len(rows.ids) + 1), ValidationReport(), True, vocabulary, "record")
+        if dataset is None:
+            raise ValueError(report.errors[0].message)
+        return dataset
 
 
 @dataclass(frozen=True)
@@ -663,7 +664,13 @@ def _read_csv(text: io.TextIOWrapper, builder: _RecordBuilder) -> bool:
 
 
 def serialize_jsonl(dataset: Dataset) -> str:
-    """Render a dataset back to JSONL; parse_jsonl round-trips the result.
+    """Render a dataset back to JSONL.
+
+    ``parse_jsonl`` reads the result back to the same rows only when every
+    name is one the parser keeps as it is: non-empty, trimmed, NFC and free
+    of lone surrogates. The parsers clean every name so; ``generate`` and
+    ``Dataset(...)`` take any ``str``, and the parser rewrites or rejects a
+    row holding a name of another kind.
 
     Each line is the text ``json.dumps(..., ensure_ascii=False)`` writes for
     ``{"id", "label", "concepts"}``, written directly with json's C string
@@ -672,7 +679,7 @@ def serialize_jsonl(dataset: Dataset) -> str:
     labels: dict[str, str] = {}
     lists: dict[tuple[str, ...], str] = {}
     lines = []
-    for rid, name, names in zip(*dataset._rows()):
+    for rid, name, names in zip(*dataset._columns):
         label = labels.get(name)
         if label is None:
             label = labels[name] = encode_basestring(name)

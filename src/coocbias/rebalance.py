@@ -153,11 +153,11 @@ class GenerationPlan:
     it and reads every total from it.
     """
 
-    queries: tuple[GenerationQuery, ...] = _LazyField(_Queries, lambda _, columns: columns.build(), "_source")
+    queries: tuple[GenerationQuery, ...] = _LazyField(_Queries, lambda _, columns: columns.build())
 
     def _columns(self) -> _Queries | None:
         """The columns the queries are built from; None once they are built or given."""
-        return self.__dict__["_source"]
+        return self.__dict__["_queries_source"]
 
     def _size(self) -> int:
         """The number of queries."""
@@ -317,7 +317,7 @@ def apply_virtual(dataset: Dataset, plan: GenerationPlan) -> Dataset:
         unknown = set(query.concepts) - concepts
         if unknown:
             raise ValueError(f"query references unknown concepts: {sorted(unknown)!r}")
-    ids, labels, lists = dataset._rows()
+    ids, labels, lists = dataset._columns
     # Only an id with the "synthetic-" prefix can collide with a fresh one.
     existing = {rid for rid in ids if rid.startswith("synthetic-")}
     grown = _Columns(list(ids), list(labels), list(lists))

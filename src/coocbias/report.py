@@ -109,9 +109,7 @@ class Diagnosis:
     graph: CooccurrenceGraph
     common: dict[int, tuple[tuple[str, ...], ...]]
     table: CliqueFrequencyTable
-    imbalances: tuple[ImbalanceEntry, ...] = _LazyField(
-        _Imbalances, lambda _, source: source.entries(), "_imbalances_source"
-    )
+    imbalances: tuple[ImbalanceEntry, ...] = _LazyField(_Imbalances, lambda _, source: source.entries())
     plan: GenerationPlan
     adjusted: CliqueFrequencyTable
 

@@ -9,6 +9,8 @@ predict the label almost perfectly; rho near 0.5 is mild.
 Determinism matters more here than statistical pedigree, so the randomness
 comes from a small self-contained SplitMix64 generator rather than the
 platform RNG: same seed, same dataset, on any machine and Python build.
+``generate`` builds the dataset from its own rows, as ``apply_virtual`` does,
+with no second validation pass over them.
 
 SplitMix64's output *i* depends only on ``seed + i * golden``, so the
 generator computes its outputs in batches of 512. One ``int`` holds a batch
@@ -27,7 +29,7 @@ import struct
 from dataclasses import dataclass
 from itertools import chain
 
-from .dataset import Dataset, _Columns, _from_columns
+from .dataset import Dataset, _Columns
 
 __all__ = ["SplitMix64", "BiasSpec", "generate"]
 
@@ -111,7 +113,8 @@ class BiasSpec:
 
     This is the one validator of a spec, for library callers and the CLI
     alike: each field gets one check of its type and range, and a bad field
-    raises ValueError naming it.
+    raises ValueError naming it. A name may be any ``str``; ``generate`` uses
+    it as given.
     """
 
     groups: dict[str, tuple[str, ...]]
@@ -156,6 +159,13 @@ def generate(spec: BiasSpec, seed: int) -> Dataset:
     a fixed order: the bias coin, the cross-group pick when the coin says so,
     the record size, then the concept sample. Fixed order keeps one stream of
     randomness reproducible regardless of outcome.
+
+    The rows go straight into the ``Dataset``, without ``from_records``'
+    per-row check: ids ``"<label>-<i>"`` cannot collide, ``BiasSpec`` keeps
+    class and concept names apart, and each concept sample is sorted and
+    duplicate-free. Names are used as the spec gives them, an empty one
+    included; ``parse_jsonl`` reads a name back unchanged only when it is
+    non-empty, trimmed and NFC, which the CLI checks before it generates.
     """
     rng = SplitMix64(seed)
     coin, randrange, sample = rng.random, rng.randrange, rng.sample
@@ -178,4 +188,4 @@ def generate(spec: BiasSpec, seed: int) -> Dataset:
             ids.append(f"{label}-{i}")
             row_labels.append(label)
             lists.append(shared.setdefault(concepts, concepts))
-    return _from_columns(rows)
+    return Dataset(records=rows, classes=tuple(labels), concepts=tuple(sorted(set().union(*shared))))

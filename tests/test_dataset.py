@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coocbias import dataset
 from coocbias.cli import main
 from coocbias.dataset import (
     AnnotationRecord,
@@ -771,6 +772,40 @@ class TestColumnBackedDataset:
         parsed, _ = parse_jsonl(D4_JSONL)
         with pytest.raises(dataclasses.FrozenInstanceError):
             parsed.records = ()
+
+
+class TestColumnsHeldFromConstruction:
+    """A dataset given records splits them into columns once, as it is built, and never again."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """How many times ``dataset._split`` ran since the fixture started."""
+        count = [0]
+        split = dataset._split
+
+        def counting_split(records):
+            count[0] += 1
+            return split(records)
+
+        monkeypatch.setattr(dataset, "_split", counting_split)
+        return count
+
+    @pytest.mark.parametrize("parse", [parse_jsonl, parse_csv])
+    def test_given_records_are_split_once(self, splits, parse):
+        parsed, _ = parse(D4_CSV if parse is parse_csv else D4_JSONL)
+        plan = diagnose(parsed).plan
+        grown = apply_virtual(parsed, plan)
+        assert grown.n > parsed.n and parsed.masks and serialize_jsonl(parsed)
+        assert splits == [0]  # a parse and apply_virtual hand over columns
+        given = parsed.records
+        direct = Dataset(records=given, classes=parsed.classes, concepts=parsed.concepts)
+        assert splits == [1]
+        assert direct.n == parsed.n
+        assert direct.masks == parsed.masks
+        assert direct.records is given
+        assert serialize_jsonl(direct) == serialize_jsonl(parsed)
+        assert apply_virtual(direct, plan) == grown
+        assert splits == [1]
 
 
 class TestRecordsBuiltOnlyWhenRead:

@@ -37,3 +37,41 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
     exec(compile(snippet, "README.md", "exec"), namespace)
     assert capsys.readouterr().out == "('x',) {'B': 1}\n('y',) {'A': 1}\n"
     assert namespace["balanced"].n == 6
+
+
+# Code lines: import, class, the two lines of x's string, def, the string
+# statement after the docstring, and the three lines of the return.
+CODE_LINES_FIXTURE = '''#!/usr/bin/env python3
+"""Module docstring,
+on two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    x = """a multi-line
+    string value"""
+
+    def f(self):
+        """Function docstring."""
+        "a string statement, not a docstring"
+        return (
+            os.sep
+        )
+'''
+
+
+def test_code_lines_counts_a_known_fixture(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(CODE_LINES_FIXTURE, encoding="utf-8")
+    (tmp_path / "pkg" / "notes.txt").write_text("not python\n", encoding="utf-8")
+    single = run_script("code_lines.py", str(tmp_path / "pkg" / "a.py"))
+    assert (single.returncode, single.stdout, single.stderr) == (0, "9\n", "")
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n\ny = 2\n", encoding="utf-8")
+    folder = run_script("code_lines.py", str(tmp_path / "pkg"), str(tmp_path / "pkg" / "a.py"))
+    assert (folder.returncode, folder.stdout) == (0, "11\n")
+    package = run_script("code_lines.py")
+    assert package.returncode == 0 and int(package.stdout) > 0

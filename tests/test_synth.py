@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coocbias.dataset import parse_jsonl, serialize_jsonl
+from coocbias.dataset import Dataset, parse_jsonl, serialize_jsonl
 from coocbias.synth import BiasSpec, SplitMix64, generate
 from support import ReferenceSplitMix64, reference_generate, reference_serialize_jsonl
 
@@ -344,3 +344,32 @@ class TestGenerateAgainstReference:
     def test_readme_spec_golden_sha256(self):
         text = serialize_jsonl(generate(README_SPEC, 7))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == README_SPEC_SEED_7_SHA256
+
+
+class TestRowsHandedOverUnchecked:
+    """``generate`` builds its dataset without ``from_records``' per-row check."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(bias_specs(), seeds)
+    def test_checked_rows_make_the_same_dataset(self, spec, seed):
+        ours = generate(spec, seed)
+        checked = Dataset.from_records(ours.records)
+        assert checked == ours
+        assert (checked.classes, checked.concepts) == (ours.classes, ours.concepts)
+        assert checked.masks == ours.masks
+        assert serialize_jsonl(checked) == serialize_jsonl(ours)
+
+    def test_empty_class_name_is_generated_and_rejected_on_parse(self):
+        spec = BiasSpec(groups={"": ("a", "b", "c"), "y": ("d", "e", "f")}, rho=0.9, per_class_n=5)
+        ds = generate(spec, 1)
+        assert ds.classes == ("", "y")
+        assert [r.label for r in ds.records] == [""] * 5 + ["y"] * 5
+        rejected = [("empty-field", f"-{i}") for i in range(5)]
+        for strict in (True, False):
+            parsed, report = parse_jsonl(serialize_jsonl(ds), strict=strict)
+            assert [(e.rule, e.record_id) for e in report.errors] == rejected
+            assert report.records_rejected == 5
+            if strict:
+                assert parsed is None
+            else:
+                assert [r.label for r in parsed.records] == ["y"] * 5
