@@ -3,9 +3,10 @@
 
 Sweeps record count and clique-size cap on synthetic datasets and prints a
 small table of timings: ``gen s`` is the time ``generate`` took to build the
-row's dataset, ``seconds`` the time ``diagnose`` took on it. Clique
-enumeration grows combinatorially with k_max and concept connectivity, so the
-cap dominates beyond small values.
+row's dataset, ``seconds`` the time ``diagnose`` took on it, and ``render s``
+the time to join ``report_chunks`` for that diagnosis, the report text that
+``coocbias diagnose`` writes. Clique enumeration grows combinatorially with
+k_max and concept connectivity, so the cap dominates beyond small values.
 
     python scripts/benchmark.py --records 1000 10000 --k-max 2 3 4
 """
@@ -14,6 +15,7 @@ import argparse
 import time
 
 from coocbias import BiasSpec, DiagnosisConfig, diagnose, generate
+from coocbias.report import report_chunks
 
 
 def build_dataset(n_records: int, n_classes: int, n_concepts: int, seed: int):
@@ -41,7 +43,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
 
-    print(f"{'records':>8} {'k_max':>6} {'cliques':>8} {'queries':>8} {'gen s':>8} {'seconds':>8}")
+    print(f"{'records':>8} {'k_max':>6} {'cliques':>8} {'queries':>8} {'gen s':>8} {'seconds':>8} {'render s':>8}")
     for n in args.records:
         started = time.perf_counter()
         ds = build_dataset(n, args.classes, args.concepts, args.seed)
@@ -50,9 +52,13 @@ def main() -> None:
             started = time.perf_counter()
             result = diagnose(ds, DiagnosisConfig(k_max=k))
             elapsed = time.perf_counter() - started
+            started = time.perf_counter()
+            "".join(report_chunks(result, ds, "0" * 64))
+            rendered = time.perf_counter() - started
             n_cliques = sum(len(v) for v in result.common.values())
             print(
                 f"{ds.n:>8} {k:>6} {n_cliques:>8} {len(result.plan.queries):>8} {generated:>8.2f} {elapsed:>8.2f}"
+                f" {rendered:>8.3f}"
             )
 
 

@@ -319,11 +319,13 @@ def frequency_table(
     bitsets (``dataset.masks``) ANDed with the class's bitset. Each clique
     ANDs its last concept onto the mask of its (k-1)-prefix, which
     consecutive cliques of a sorted level share, then takes one popcount per
-    class over n-bit sets. The counts go straight into the table's columns,
-    one ``array`` per level; no per-clique dict is built.
+    class over n-bit sets; a clique that no record holds gets a zero row and
+    no popcount. The counts go straight into the table's columns, one
+    ``array`` per level; no per-clique dict is built.
     """
     masks = dataset.masks
     class_masks = [masks[y] for y in dataset.classes]
+    zero = array("q", bytes(8 * len(class_masks)))
     levels: _Levels = {}
     for k, cliques in common.items():
         counts = array("q")
@@ -334,7 +336,7 @@ def frequency_table(
                 for c in prefix:
                     shared &= masks[c]
             mask = shared & masks[q[-1]] if q else shared
-            counts.extend([(mask & m).bit_count() for m in class_masks])
+            counts.extend([(mask & m).bit_count() for m in class_masks] if mask else zero)
         levels[k] = (tuple(cliques), counts)
     return CliqueFrequencyTable(classes=dataset.classes, counts=_Counts(levels))
 
@@ -355,8 +357,9 @@ class ImbalanceEntry:
 
 
 class _Imbalances(NamedTuple):
-    """A table's uneven cliques: its columns and, per level, the positions its
-    one scan found uneven. Read worst first, they are ``imbalanced_cliques``."""
+    """A table's uneven cliques: its columns and, per level that holds count
+    rows, the positions its one scan found uneven. Read worst first, they are
+    ``imbalanced_cliques``."""
 
     classes: tuple[str, ...]
     levels: _Levels
@@ -370,8 +373,8 @@ class _Imbalances(NamedTuple):
         then ascending size, then clique. The sort holds one int per clique,
         its position times the number of levels plus its level's index.
         """
-        c, levels = len(self.classes), self.levels
-        keys = list(levels)
+        c, levels, uneven = len(self.classes), self.levels, self.uneven
+        keys = list(uneven)
         n = len(keys)
 
         def worst(flat: int) -> tuple[int, int, Clique]:
@@ -380,7 +383,7 @@ class _Imbalances(NamedTuple):
             q = cliques[flat // n]
             return min(row) - max(row), len(q), q
 
-        order = sorted((i * n + at for at, k in enumerate(keys) for i in self.uneven[k]), key=worst)
+        order = sorted((i * n + at for at, k in enumerate(keys) for i in uneven[k]), key=worst)
         return ((keys[flat % n], flat // n) for flat in order)
 
     def rows(self) -> Iterator[tuple[Clique, dict[str, int], int, dict[str, int]]]:
@@ -404,12 +407,12 @@ class _Imbalances(NamedTuple):
 
 def _imbalances(table: CliqueFrequencyTable) -> _Imbalances:
     """The uneven cliques of an ORIGINAL table, from one scan of its columns
-    per level; no entry is built."""
+    per level that holds count rows; no entry is built."""
     if table.provenance is not Provenance.ORIGINAL:
         raise ValueError("imbalance extraction needs a table with original provenance")
     levels = table._levels()
     c = len(table.classes)
-    return _Imbalances(table.classes, levels, {k: _uneven(counts, c) for k, (_, counts) in levels.items()})
+    return _Imbalances(table.classes, levels, {k: _uneven(counts, c) for k, (_, counts) in levels.items() if counts})
 
 
 def imbalanced_cliques(table: CliqueFrequencyTable) -> tuple[ImbalanceEntry, ...]:

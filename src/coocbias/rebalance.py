@@ -12,7 +12,8 @@ The walk visits only the cliques that can need records: those whose original
 counts differ, which one scan of the table found, and those a planned
 superset credited, in the same order. It copies each level's count column
 once and writes the top-ups and credits into the copies, which become the
-adjusted table's columns.
+adjusted table's columns; a level with no clique keeps no state and shares
+its empty column.
 
 The plan records each query as its clique, class index, count and capped
 flag, in columns (``_Queries``), and builds its ``GenerationQuery`` tuple on
@@ -244,18 +245,19 @@ def _plan(imbalances: _Imbalances, config: RebalanceConfig) -> tuple[GenerationP
     classes, levels, uneven = imbalances
     c = len(classes)
     by_label = sorted(range(c), key=classes.__getitem__)
+    # Only the levels that hold count rows, the keys of uneven, need state.
+    filled = sorted(uneven, reverse=True)
     # Each lower level's cliques by position, to find the subsets a plan credits.
-    top = max(levels, default=0)
-    where = {k: {q: i for i, q in enumerate(cliques)} for k, (cliques, _) in levels.items() if k < top}
+    where = {k: {q: i for i, q in enumerate(levels[k][0])} for k in filled[1:]}
     # Per level, the plan's copy of the counts, and the positions a planned superset credited.
-    counts_of = {k: array("q", counts) for k, (_, counts) in levels.items()}
-    credited: dict[int, set[int]] = {k: set() for k in levels}
+    counts_of = {k: array("q", levels[k][1]) for k in filled}
+    credited: dict[int, set[int]] = {k: set() for k in filled}
 
     cap = config.per_query_cap
     # The queries as columns: clique, class index, count and capped flag.
     query_cliques: list[Clique] = []
     query_labels, query_counts, query_capped = array("q"), array("q"), bytearray()
-    for k in sorted(levels, reverse=True):
+    for k in filled:
         cliques, counts = levels[k][0], counts_of[k]
         # Only a clique whose original counts differ, or one a planned
         # superset credited, can need records.
@@ -291,7 +293,8 @@ def _plan(imbalances: _Imbalances, config: RebalanceConfig) -> tuple[GenerationP
 
     adjusted = CliqueFrequencyTable(
         classes=classes,
-        counts=_Counts({k: (cliques, counts_of[k]) for k, (cliques, _) in levels.items()}),
+        # An empty level's empty column is shared: no one mutates columns.
+        counts=_Counts({k: (cliques, counts_of.get(k, counts)) for k, (cliques, counts) in levels.items()}),
         provenance=Provenance.ADJUSTED,
     )
     columns = _Queries(

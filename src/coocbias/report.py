@@ -9,11 +9,11 @@ indent, LF line endings, trailing newline) so that repeated runs over the
 same input are byte-identical and diff cleanly; ``report_dict`` passes the
 common cliques as the pipeline's own tuples and makes each imbalance entry's
 dicts from the table's count rows. ``report_chunks``, which ``coocbias
-diagnose`` writes, is the same text in pieces, with the entries made one
-batch at a time and dropped once rendered. Writes go through a temp file and
-a rename; the file gets the mode a plain ``open`` would give it. A FIFO or a
-device is written in place, and a symlink's target is replaced, not the
-link.
+diagnose`` writes, is the same text in pieces: while the entries are unbuilt
+it writes each entry's text straight from its count row, one batch at a
+time, and makes no entry dict. Writes go through a temp file and a rename;
+the file gets the mode a plain ``open`` would give it. A FIFO or a device is
+written in place, and a symlink's target is replaced, not the link.
 
 ``canonical_chunks`` yields the text ``json.dumps`` would write with those
 settings, in pieces, without ``json.dumps``: once an indent is set, CPython
@@ -23,8 +23,11 @@ each container joins its children's finished text once, and a list of plain
 strings is one join over json's C string escaper. The pieces walk every dict
 that holds lists or dicts and cut a list longer than ``_BATCH`` items into
 batches (``_list_chunks``, which also cuts the streamed entries), so a
-writer fed by them holds one batch's text at a time, not the report.
-``canonical_json`` joins the same pieces into one string.
+writer fed by them holds one batch's text at a time, not the report. A
+batch of non-empty tuples of plain strings, such as a level of common
+cliques, is one join per tuple over a memo that escapes each name once per
+call (``_Escaped``); the entries share that memo. ``canonical_json`` joins
+the same pieces into one string.
 """
 
 from __future__ import annotations
@@ -33,10 +36,12 @@ import hashlib
 import math
 import os
 import stat
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -145,15 +150,24 @@ def report_dict(diagnosis: Diagnosis, dataset: Dataset, input_digest: str) -> di
 def report_chunks(diagnosis: Diagnosis, dataset: Dataset, input_digest: str) -> Iterator[str]:
     """The text of ``canonical_json(report_dict(diagnosis, dataset, input_digest))``, in pieces.
 
-    The imbalance entries are made one batch of ``_BATCH`` at a time, written
-    and dropped, so a writer fed by the pieces never holds every entry dict.
+    While ``diagnosis.imbalances`` is unbuilt, each entry's text is written
+    straight from its count row and no entry dict is made; otherwise the entry
+    dicts are made one batch of ``_BATCH`` at a time, written and dropped. A
+    writer fed by the pieces never holds every entry.
     """
-    return canonical_chunks(_report(diagnosis, dataset, input_digest, _Stream(_entry_dicts(diagnosis))))
+    state = diagnosis.__dict__
+    source = state["_imbalances_source"]  # read first, as _LazyField does
+    if state["_imbalances"] is None:
+        entries = _Stream(source.worst_first(), partial(_entry_text, source))
+    else:
+        entries = _Stream(_entry_dicts(diagnosis))
+    return canonical_chunks(_report(diagnosis, dataset, input_digest, entries))
 
 
 def _entry_dicts(diagnosis: Diagnosis) -> Iterator[dict]:
-    """The report's imbalance entries in order, one at a time: read from the
-    table's columns while ``diagnosis.imbalances`` is unbuilt, else from it."""
+    """The report's imbalance entries in order, as dicts, one at a time: read
+    from the table's columns while ``diagnosis.imbalances`` is unbuilt, else
+    from it."""
     state = diagnosis.__dict__
     if state["_imbalances"] is None:
         rows = state["_imbalances_source"].rows()
@@ -161,6 +175,39 @@ def _entry_dicts(diagnosis: Diagnosis) -> Iterator[dict]:
         rows = ((e.concepts, e.per_class, e.max_count, e.deficits) for e in state["_imbalances"])
     for concepts, per_class, m, deficits in rows:
         yield {"concepts": concepts, "per_class": per_class, "max": m, "deficits": deficits}
+
+
+def _entry_text(imbalances: _Imbalances, inner: str, escaped: _Escaped) -> Callable[[list], str]:
+    """The writer of a batch of ``imbalances.worst_first()`` pairs as report
+    entries at indent ``inner``: each entry's text straight from its count row."""
+    classes, levels = imbalances.classes, imbalances.levels
+    c = len(classes)
+    # Of equal names the last index, as the entry dict's dict(zip(classes, row)) keeps.
+    index = dict(zip(classes, range(c)))
+    names = sorted(index)
+    in_key_order = itemgetter(*[index[y] for y in names])  # rows have two or more counts
+    keys = [escaped[y] + ": " for y in names]
+    one, two = inner + "  ", inner + "    "
+    sep = "," + two
+    per_class = sep.join(key.replace("%", "%%") + "%d" for key in keys)
+    entry = (
+        "{" + one + '"concepts": [' + two + "%s" + one + "]," + one + '"deficits": {' + two + "%s" + one + "},"
+        + one + '"max": %d,' + one + '"per_class": {' + two + per_class + one + "}" + inner + "}"
+    )
+    join = ("," + inner).join
+
+    def text(batch: list) -> str:
+        entries = []
+        for k, i in batch:
+            cliques, counts = levels[k]
+            row = counts[i * c : i * c + c]
+            m = max(row)
+            row = in_key_order(row)
+            deficits = sep.join([key + str(m - n) for key, n in zip(keys, row) if n < m])
+            entries.append(entry % (sep.join(map(escaped.__getitem__, cliques[i])), deficits, m, *row))
+        return join(entries)
+
+    return text
 
 
 def _report(diagnosis: Diagnosis, dataset: Dataset, input_digest: str, imbalances) -> dict:
@@ -208,7 +255,7 @@ def canonical_chunks(payload) -> Iterator[str]:
     ``_BATCH`` items comes out one batch of items at a time, and anything else
     is one piece from ``_text``.
     """
-    yield from _chunks(payload, "\n")
+    yield from _chunks(payload, "\n", _Escaped())
     yield "\n"
 
 
@@ -222,42 +269,71 @@ def canonical_json(payload: dict) -> str:
 _BATCH = 256
 
 
+class _Escaped(dict):
+    """The JSON text of each string looked up, escaped on its first lookup;
+    one per ``canonical_chunks`` call."""
+
+    def __missing__(self, name: str) -> str:
+        text = self[name] = encode_basestring(name)
+        return text
+
+
+def _items(inner: str, escaped: _Escaped) -> Callable[[list], str]:
+    """The writer of a batch of list items at indent ``inner``, joined.
+
+    A batch of non-empty tuples or lists of exact ``str`` is one join per item
+    over ``escaped``; any other batch goes through ``_text``.
+    """
+    join = ("," + inner).join
+    two = inner + "  "
+    names = ("," + two).join
+    head, between, tail = "[" + two, inner + "]," + inner + "[" + two, inner + "]"
+
+    def text(batch: list) -> str:
+        if set(map(type, batch)) <= {tuple, list} and all(batch) and set(map(type, chain.from_iterable(batch))) == {str}:
+            return head + between.join([names(map(escaped.__getitem__, q)) for q in batch]) + tail
+        return join([_text(v, inner) for v in batch])
+
+    return text
+
+
 class _Stream:
     """A list given as an iterator of its items, which ``_chunks`` renders one
-    batch at a time; only the package's own writers build one."""
+    batch at a time with ``writer(inner, escaped)``; only the package's own
+    writers build one."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "writer")
 
-    def __init__(self, items: Iterable) -> None:
-        self.items = items
+    def __init__(self, items: Iterable, writer: Callable = _items) -> None:
+        self.items, self.writer = items, writer
 
 
-def _chunks(value, newline: str) -> Iterator[str]:
+def _chunks(value, newline: str, escaped: _Escaped) -> Iterator[str]:
     """The text of ``_text(value, newline)``, in pieces."""
     if isinstance(value, dict) and any(isinstance(v, (dict, list, tuple, _Stream)) for v in value.values()):
         inner = newline + "  "
         sep = "{" + inner
         for k, v in sorted(value.items()):
             yield sep + _key(k) + ": "
-            yield from _chunks(v, inner)
+            yield from _chunks(v, inner, escaped)
             sep = "," + inner
         yield newline + "}"
     elif isinstance(value, _Stream):
-        yield from _list_chunks(value.items, newline)
+        yield from _list_chunks(value.items, newline, value.writer(newline + "  ", escaped))
     elif isinstance(value, (list, tuple)) and len(value) > _BATCH:
-        yield from _list_chunks(value, newline)
+        yield from _list_chunks(value, newline, _items(newline + "  ", escaped))
     else:
         yield _text(value, newline)
 
 
-def _list_chunks(items: Iterable, newline: str) -> Iterator[str]:
-    """A list's text: one piece per ``_BATCH`` of its items, then one to close it."""
+def _list_chunks(items: Iterable, newline: str, text: Callable[[list], str]) -> Iterator[str]:
+    """A list's text: one piece per ``_BATCH`` of its items, written by
+    ``text``, then one to close it."""
     inner = newline + "  "
     sep = "[" + inner
-    join = ("," + inner).join
     items = iter(items)
     while batch := list(islice(items, _BATCH)):
-        yield sep + join([_text(v, inner) for v in batch])
+        yield sep + text(batch)
         sep = "," + inner
     yield "[]" if sep[0] == "[" else newline + "]"
 

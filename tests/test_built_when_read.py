@@ -12,6 +12,7 @@ from coocbias.cli import main
 from coocbias.cliques import (
     CliqueFrequencyTable,
     ImbalanceEntry,
+    _Imbalances,
     common_cliques,
     frequency_table,
     imbalanced_cliques,
@@ -100,6 +101,19 @@ class TestBuiltOnlyWhenRead:
         assert queries == [len(result.plan.queries)]
         apply_virtual(dataset, result.plan)
         assert queries == [len(result.plan.queries)]
+
+    def test_report_is_written_from_the_count_rows(self, built, monkeypatch, input_path, capsys):
+        # Unread, the entries' text comes straight from the rows: no row dicts, no entry.
+        rows = []
+        monkeypatch.setattr(_Imbalances, "rows", lambda self: rows.append(self) or iter(()))
+        assert main(["diagnose", "--input", str(input_path)]) == 0
+        assert '"imbalances": [\n    {' in capsys.readouterr().out
+        dataset, _ = parse_jsonl(input_path)
+        result = diagnose(dataset)
+        assert '"imbalances": [\n    {' in "".join(report_chunks(result, dataset, "0" * 64))
+        assert rows == [] and built == ([0], [0])
+        report_dict(result, dataset, "0" * 64)
+        assert len(rows) == 1  # report_dict makes the dicts from the rows
 
     def test_entries_come_from_the_table_at_diagnosis(self, input_path):
         # As if built when diagnosed: a later change to the table's counts does not show.

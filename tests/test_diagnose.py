@@ -1,14 +1,17 @@
 """The diagnosis path: diagnose searches the common cliques directly."""
 
+import hashlib
 import math
 
 import pytest
 
 import coocbias.cliques
+from coocbias.cli import main
 from coocbias.cliques import common_clique_set, common_cliques, enumerate_class_cliques
+from coocbias.dataset import parse_jsonl
 from coocbias.graph import build_graph
 from coocbias.rebalance import RebalanceConfig
-from coocbias.report import DiagnosisConfig, diagnose
+from coocbias.report import DiagnosisConfig, diagnose, report_dict
 from support import d4_dataset, oracle_common_cliques, oracle_relaxed_common_cliques, random_dataset
 
 
@@ -102,3 +105,43 @@ BAD_TYPES = {
 def test_wrong_type_is_a_value_error_naming_the_field(take, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         take(value)
+
+
+# Three records whose cliques x, y and (x, y) are uneven; every level above 2 is empty.
+THREE_RECORDS = "".join(
+    f'{{"id": "r{i}", "label": "{label}", "concepts": ["x", "y"]}}\n' for i, label in enumerate("AAB")
+)
+
+
+class TestEmptyLevels:
+    """Levels no clique reaches are listed but cost no scan and no planner state."""
+
+    def test_only_filled_levels_are_scanned(self, monkeypatch, tmp_path):
+        scanned = []
+        uneven = coocbias.cliques._uneven
+
+        def counted(counts, width):
+            scanned.append(len(counts))
+            return uneven(counts, width)
+
+        monkeypatch.setattr(coocbias.cliques, "_uneven", counted)
+        path = tmp_path / "three.jsonl"
+        path.write_text(THREE_RECORDS, encoding="utf-8")
+        ds, _ = parse_jsonl(path)
+        result = diagnose(ds, DiagnosisConfig(k_max=500))
+        assert scanned == [4, 2]  # two count rows at level 1, one at level 2
+        levels = tuple(range(1, 501))
+        assert result.table.levels() == result.adjusted.levels() == levels
+        assert all(result.adjusted.counts[k] == {} for k in levels[2:])
+        assert result.adjusted.counts[2] == {("x", "y"): {"A": 2, "B": 2}}
+        report = report_dict(result, ds, "0" * 64)
+        assert list(report["common_cliques"]) == [str(k) for k in levels]
+        assert len(report["imbalances"]) == 3 and report["plan_summary"]["queries"] == 1
+
+    def test_report_bytes(self, tmp_path, capsys):
+        # sha256 of the report taken before empty levels were skipped.
+        path = tmp_path / "three.jsonl"
+        path.write_text(THREE_RECORDS, encoding="utf-8")
+        assert main(["diagnose", "--input", str(path), "--k-max", "2000"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == "3db0bd95b57d5dd6a65bbcb527a7d0df7ae0eedc8dc37edbdeea2a207e2633a1"

@@ -111,9 +111,23 @@ def repeated(items, n):
     return list(itertools.islice(itertools.cycle(items), n))
 
 
+class Name(str):
+    pass
+
+
+# Names that need escaping: quotes, backslashes, control characters,
+# non-ASCII and a lone surrogate.
+names = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f%é☃\U0001f600\ud800a'), min_size=1, max_size=4) | st.text()
+cliques = st.lists(names, min_size=1, max_size=4).map(tuple)
+# Tuples of exact str, mixed with what must take the general path: a str
+# subclass, an empty tuple and a list.
+clique_items = cliques | cliques.map(lambda q: (Name(q[0]),) + q[1:]) | st.just(()) | cliques.map(list)
+
 # Lists around one and two batches long, and containers nested in containers.
 long_lists = st.tuples(
-    st.lists(scalars | st.lists(st.text(), max_size=3), min_size=1, max_size=3),
+    st.lists(scalars | st.lists(st.text(), max_size=3), min_size=1, max_size=3)
+    | st.lists(cliques, min_size=1, max_size=3)
+    | st.lists(clique_items, min_size=1, max_size=3),
     st.sampled_from([_BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH, 2 * _BATCH + 1]),
 ).map(lambda t: repeated(*t))
 
@@ -155,6 +169,13 @@ class TestCanonicalChunks:
         assert next(chunks) == '{\n  "a": '
         with pytest.raises(TypeError):
             list(chunks)
+
+    def test_unserializable_name_in_a_later_batch_raises_when_reached(self):
+        items = [("a", "b")] * _BATCH + [("c", object())]
+        chunks = canonical_chunks(items)
+        assert next(chunks) == oracle_json(items[:_BATCH])[:-3]  # the first batch, without "\n]\n"
+        with pytest.raises(TypeError):
+            next(chunks)
 
 
 def dense_report() -> dict:

@@ -1,6 +1,7 @@
 """The diagnose report streamed from the table's columns, one batch of entries at a time."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -73,3 +74,33 @@ def test_entry_counts_at_the_batch_edges(n):
     at = pieces.index(',\n  "imbalances": ')
     closed = pieces.index("\n  ]" if n else "[]", at)
     assert closed - at == (n + _BATCH - 1) // _BATCH + 1
+
+
+# Characters that need escaping in JSON text, a "%" and a lone surrogate.
+ESCAPED = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f%é☃\U0001f600\ud800a'), min_size=1, max_size=3)
+
+
+@st.composite
+def escaped_datasets(draw) -> Dataset:
+    """Classes, unsorted, and concepts whose names need escaping, with a
+    batch or two of uneven cliques at levels 1 and 2."""
+    classes = draw(st.lists(ESCAPED.map(lambda s: "C" + s), min_size=2, max_size=3, unique=True))
+    stems = draw(st.lists(ESCAPED, min_size=1, max_size=3))
+    n = draw(st.sampled_from([_BATCH // 2, _BATCH, 2 * _BATCH]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    concepts = [f"{stems[i % len(stems)]}{i:04d}" for i in range(n)]
+    records = []
+    for i, name in enumerate(concepts):
+        held = (name, concepts[i + 1]) if i % 8 == 0 and i + 1 < n else (name,)
+        for label in classes:
+            for _ in range(rng.randint(1, 3)):
+                records.append(AnnotationRecord(f"r{len(records)}", label, held))
+    return Dataset(records=tuple(records), classes=tuple(classes), concepts=tuple(sorted(concepts)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(escaped_datasets(), st.sampled_from([None, 0.5]))
+def test_escaped_names_across_batches(ds, relax):
+    result = diagnose(ds, DiagnosisConfig(k_max=2, relax_fraction=relax))
+    streamed = "".join(report_chunks(result, ds, "0" * 64))
+    assert streamed == canonical_json(report_dict(result, ds, "0" * 64))

@@ -26,6 +26,9 @@ def test_scripts_run():
     bench = run_script("benchmark.py", "--records", "400", "--k-max", "2")
     assert bench.returncode == 0, bench.stderr
     assert "gen s" in bench.stdout.splitlines()[0]
+    header, *rows = bench.stdout.splitlines()
+    assert header.split()[-3:] == ["seconds", "render", "s"]
+    assert rows and all(len(row.split()) == 7 and float(row.split()[-1]) >= 0 for row in rows)
 
 
 def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):

@@ -43,6 +43,17 @@ class TestAgainstReferenceTable:
         assert table.counts == reference.counts
         assert key_order(table) == key_order(reference)
 
+    @PROPERTY_SETTINGS
+    @given(datasets(max_concepts=6), st.sampled_from([None, 0.5]), st.sampled_from([None, 1]))
+    def test_a_clique_no_record_holds_counts_zero(self, ds, relax, cap):
+        result = diagnose(ds, DiagnosisConfig(relax_fraction=relax, rebalance=RebalanceConfig(per_query_cap=cap)))
+        held = [set(r.concepts) for r in ds.records]
+        for k, level in result.common.items():
+            for q in level:
+                if not any(names >= set(q) for names in held):
+                    assert set(result.table.counts[k][q].values()) == {0}
+                    assert set(result.adjusted.counts[k][q].values()) == {0}
+
     def test_unsorted_levels_and_an_empty_clique(self, d4):
         # Consecutive cliques that share no prefix, and the empty clique,
         # which every record contains.
